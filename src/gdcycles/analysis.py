@@ -16,14 +16,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import (
-    DIVERGENCE_NORM,
-    Trajectory,
-    _lyapunov_from_states,
-    orbit_multiplier,
-    step_many,
-)
-from .objective import Objective, lambda_max
+from .dynamics import Trajectory, _lyapunov_from_states, orbit_multiplier, step_many
+from .losses import sigmoid
+from .objective import DIVERGENCE_NORM, Objective, lambda_max
 
 __all__ = [
     "CycleReport",
@@ -203,15 +198,6 @@ def _dedup(values: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
     return np.array(out)
 
 
-def _sigmoid_arr(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def bifurcation_sweep(
     obj: Objective,
     eta_grid: Sequence[float],
@@ -269,7 +255,7 @@ def bifurcation_sweep(
                 Z = W @ A.T
                 tail_losses[k - 1] = loss.f(Z) @ wts
                 if tail_pn is not None:
-                    tail_pn[k - 1] = _sigmoid_arr(W @ pn_row)
+                    tail_pn[k - 1] = sigmoid(W @ pn_row)
         for i in range(n_inits):
             if not alive[i]:
                 cells.append(SweepCell(float(eta), i, np.array([]), float("nan"), True,

@@ -10,24 +10,28 @@ Subcommands map one-to-one onto the library pipelines:
   eos         stacked run whose sharpness settles above 2/eta
   repro       run every checked-in recipe end-to-end
 
-Exit codes: 0 success, 1 usage error, 2 domain error (separable or
-degenerate data).  All outputs are deterministic given flags and --seed.
+Exit codes: 0 success, 1 usage error (including a step size or w0 the
+library rejects), 2 domain error (separable or degenerate data, or a
+recipe without its cycle).  All outputs are deterministic given flags and
+--seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
 from . import svg
 from .analysis import (
+    LABEL_OTHER,
+    LABEL_TO_CYCLE,
+    LABEL_TO_FIXED_POINT,
     basin_raster,
     bifurcation_sweep,
     detect_cycle,
@@ -39,10 +43,10 @@ from .analysis import (
     sweep_to_csv,
     trajectory_to_csv,
 )
-from .construct import Recipe1D, build_1d, eos_demo, kronecker_stack
+from .construct import Recipe1D, eos_demo
 from .data import check_separable, parse_compact, parse_libsvm
-from .dynamics import GDConfig, run
-from .exceptions import DegenerateDataError, GDCyclesError, SeparableDataError
+from .dynamics import GDConfig, resolve_eta, run
+from .exceptions import GDCyclesError, SeparableDataError
 from .losses import LOSS_NAMES, get_loss
 from .objective import Objective, minimize
 
@@ -51,36 +55,8 @@ EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise SystemExit2(f"{self.prog}: error: {message}")
-
-
-class SystemExit2(Exception):
+class UsageError(Exception):
     """Usage error carrying its message; mapped to exit code 1 in main()."""
-
-
-@dataclass
-class RunConfig:
-    dataset: Path
-    fmt: str
-    loss: str
-    eta: Optional[float]
-    gamma: Optional[float]
-    ref: str
-    iters: int
-    seed: int
-    out: Optional[Path]
-
-
-def _load_dataset(path: Path, fmt: str, zero_as_negative: bool = False):
-    text = Path(path).read_text()
-    if fmt == "auto":
-        fmt = "compact" if str(path).endswith(".cds") else "libsvm"
-    if fmt == "compact":
-        return parse_compact(text)
-    return parse_libsvm(text, zero_as_negative=zero_as_negative)
 
 
 def _common_flags(p: argparse.ArgumentParser, need_eta: bool = True):
@@ -90,9 +66,9 @@ def _common_flags(p: argparse.ArgumentParser, need_eta: bool = True):
                    help="map label 0 to -1 when parsing libsvm text")
     p.add_argument("--loss", default="logistic", choices=LOSS_NAMES)
     if need_eta:
-        p.add_argument("--eta", type=float, default=None, help="absolute step size")
-        p.add_argument("--gamma", type=float, default=None,
-                       help="step-size factor relative to --ref")
+        step = p.add_mutually_exclusive_group(required=True)
+        step.add_argument("--eta", type=float, help="absolute step size")
+        step.add_argument("--gamma", type=float, help="step-size factor relative to --ref")
         p.add_argument("--ref", default="lambda", choices=("lambda", "two-L"),
                        help="gamma reference: gamma/lambda or gamma*(2/L)")
     p.add_argument("--iters", type=int, default=100_000)
@@ -101,25 +77,19 @@ def _common_flags(p: argparse.ArgumentParser, need_eta: bool = True):
 
 
 def _objective(args):
-    ds = _load_dataset(args.data, args.format, getattr(args, "zero_as_negative", False))
+    text = args.data.read_text()
+    fmt = args.format
+    if fmt == "auto":
+        fmt = "compact" if str(args.data).endswith(".cds") else "libsvm"
+    if fmt == "compact":
+        ds = parse_compact(text)
+    else:
+        ds = parse_libsvm(text, zero_as_negative=args.zero_as_negative)
     return Objective(ds, get_loss(args.loss))
 
 
-def _resolve(args, obj):
-    """Resolve --eta/--gamma to an absolute step size (needs the solution
-    when --gamma is given)."""
-    if (args.eta is None) == (args.gamma is None):
-        raise SystemExit2("exactly one of --eta and --gamma must be given")
-    if args.eta is not None:
-        return float(args.eta), None
-    sol = minimize(obj)
-    if args.ref == "lambda":
-        return args.gamma / sol.lambda_star, sol
-    return args.gamma * sol.eta_two_L, sol
-
-
-def _outdir(args) -> Path:
-    out = args.out or Path(".")
+def _outdir(path: Path | None) -> Path:
+    out = path or Path(".")
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -129,8 +99,129 @@ def _parse_w0(text: str, dim: int) -> np.ndarray:
     if len(vals) == 1 and dim > 1:
         vals = vals * dim
     if len(vals) != dim:
-        raise SystemExit2(f"--w0 has {len(vals)} entries, dataset has dimension {dim}")
+        raise UsageError(f"--w0 has {len(vals)} entries, dataset has dimension {dim}")
+    if not np.all(np.isfinite(vals)):
+        raise UsageError(f"--w0 entries must be finite, got {text!r}")
     return np.array(vals)
+
+
+def _run_config(args, obj, sol=None) -> GDConfig:
+    """GDConfig from --eta/--gamma/--ref, --w0, --iters and --record-every;
+    minimizes only for --gamma unless given ``sol``.  A step size or w0 the
+    library rejects is a usage error."""
+    if sol is None and args.gamma is not None:
+        sol = minimize(obj)
+    try:
+        eta = resolve_eta(args.eta, args.gamma, args.ref, sol)
+        return GDConfig(w0=_parse_w0(args.w0, obj.dim), max_iters=args.iters, eta=eta,
+                        record_every=getattr(args, "record_every", 1))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+# ---------------------------------------------------------------------------
+# Pipelines shared by the subcommands and repro; each writes into ``out``.
+# ---------------------------------------------------------------------------
+
+def _write_trajectory(out: Path, obj: Objective, cfg: GDConfig, sharpness: bool = False):
+    """Run GD; trajectory.csv (t, loss, w, optional sharpness) and loss.svg."""
+    traj = run(obj, cfg)
+    sharp = sharpness_series(obj, traj) if sharpness else None
+    (out / "trajectory.csv").write_text(trajectory_to_csv(traj, sharpness=sharp))
+    (out / "loss.svg").write_text(svg.line_svg(
+        traj.times, traj.losses, title="loss per iteration", xlabel="t", ylabel="loss"))
+    return traj
+
+
+def _write_psd(out: Path, traj, window: int = 1024):
+    """psd.csv and psd.svg: periodogram of the trajectory's loss tail."""
+    res = psd(traj.dense_tail_losses(), window=window)
+    (out / "psd.csv").write_text(psd_to_csv(res))
+    (out / "psd.svg").write_text(svg.line_svg(
+        res.freqs, res.power, title="loss power spectral density",
+        xlabel="cycles per iteration", ylabel="power"))
+    return res
+
+
+def _write_sweep(out: Path, obj: Objective, grid, n_inits: int, T: int, seed: int,
+                 pn_group=None):
+    """Step-size sweep: sweep.csv plus scatters of the final losses, the
+    scaled sharpness and, with ``pn_group``, the probe probabilities."""
+    sweep = bifurcation_sweep(obj, grid, n_inits=n_inits, T=T, seed=seed, pn_group=pn_group)
+    (out / "sweep.csv").write_text(sweep_to_csv(sweep))
+    live = [cell for cell in sweep.cells if not cell.diverged]
+    (out / "sweep_loss.svg").write_text(svg.scatter_svg(
+        [c.eta for c in live for _ in c.final_losses],
+        [v for c in live for v in c.final_losses],
+        title="final losses vs step size", xlabel="eta", ylabel="loss"))
+    (out / "sweep_sharpness.svg").write_text(svg.scatter_svg(
+        [c.eta for c in live], [c.scaled_sharpness for c in live],
+        title="scaled sharpness vs step size", xlabel="eta",
+        ylabel="eta*lambda_max/2"))
+    if pn_group is not None:
+        (out / "sweep_pn.svg").write_text(svg.scatter_svg(
+            [c.eta for c in live for _ in c.final_pn],
+            [v for c in live for v in c.final_pn],
+            title="final probabilities vs step size", xlabel="eta", ylabel="p"))
+    return sweep
+
+
+def _write_basin(out: Path, obj: Objective, cfg: GDConfig, sol, bounds, resolution,
+                 T: int, gamma=None):
+    """Run from cfg.w0 into the cycle, then label each raster cell by the
+    attractor (w* or that cycle) GD reaches from it in T steps; basin.pgm
+    and basin_header.txt.  Returns the cycle report and the raster."""
+    traj = run(obj, cfg)
+    rep = detect_cycle(obj, traj)
+    if rep.kind != "cycle":
+        raise GDCyclesError(
+            f"no cycle found from w0={cfg.w0} (got {rep.kind}); basin needs both attractors"
+        )
+    raster = basin_raster(obj, traj.eta, bounds, resolution, (sol.w_star, rep.orbit), T=T)
+    (out / "basin.pgm").write_text(raster_to_pgm(raster))
+    (out / "basin_header.txt").write_text(raster_header(raster, gamma=gamma))
+    return rep, raster
+
+
+def _write_eos(out: Path, recipe: Recipe1D, k: int, loss, iters: int, stack_iters: int,
+               tail: int):
+    """Stacked k-fold run of a period-k recipe; eos_sharpness.csv holds
+    (t, loss, sharpness) over its last ``tail`` iterates.  Returns eta and
+    that sharpness."""
+    stacked, eta, w0 = eos_demo(recipe, k, loss=loss, iters=iters)
+    obj = Objective(stacked, loss)
+    traj = run(obj, GDConfig(w0=w0, max_iters=stack_iters, eta=eta))
+    start = max(0, len(traj.iterates) - tail)
+    traj = dataclasses.replace(traj, times=traj.times[start:],
+                               iterates=traj.iterates[start:], losses=traj.losses[start:])
+    sharp = sharpness_series(obj, traj)
+    (out / "eos_sharpness.csv").write_text(
+        trajectory_to_csv(traj, sharpness=sharp, include_w=False))
+    return eta, sharp
+
+
+def _load_recipe(name: str):
+    """The checked-in recipe ``name``: its objective and its JSON spec."""
+    base = resources.files("gdcycles").joinpath("recipes")
+    spec = json.loads(base.joinpath(f"{name}.json").read_text())
+    ds = parse_compact(base.joinpath(f"{name}.cds").read_text())
+    return Objective(ds, get_loss(spec["loss"])), spec
+
+
+def _recipe_1d(spec: dict) -> Recipe1D:
+    """A 1D recipe JSON as a Recipe1D; w0 is a number or a one-entry list."""
+    (w0,) = np.ravel(spec["w0"])
+    return Recipe1D(m=spec["m"], n=spec["n"], x_big=spec["x_big"], b=spec["b"],
+                    gamma=spec["gamma"], w0=float(w0))
+
+
+def _recipe_run(name: str, iters: int):
+    """Objective, minimizer and GDConfig of a checked-in recipe, at the
+    step size its gamma and ref resolve to."""
+    obj, spec = _load_recipe(name)
+    sol = minimize(obj)
+    eta = resolve_eta(gamma=spec["gamma"], ref=spec["ref"], solution=sol)
+    return obj, sol, GDConfig(w0=spec["w0"], max_iters=iters, eta=eta), spec
 
 
 # ---------------------------------------------------------------------------
@@ -150,22 +241,14 @@ def cmd_solve(args) -> int:
         else:
             print(f"{key} = {format(val, '.17g')}")
     if args.out is not None:
-        out = _outdir(args)
+        out = _outdir(args.out)
         (out / "solution.json").write_text(json.dumps(record, indent=2) + "\n")
     return EXIT_OK
 
 
 def cmd_trajectory(args) -> int:
     obj = _objective(args)
-    eta, _ = _resolve(args, obj)
-    w0 = _parse_w0(args.w0, obj.dim)
-    cfg = GDConfig(w0=w0, max_iters=args.iters, eta=eta, record_every=args.record_every)
-    traj = run(obj, cfg)
-    sharp = sharpness_series(obj, traj) if args.sharpness else None
-    out = _outdir(args)
-    (out / "trajectory.csv").write_text(trajectory_to_csv(traj, sharpness=sharp))
-    (out / "loss.svg").write_text(svg.line_svg(
-        traj.times, traj.losses, title="loss per iteration", xlabel="t", ylabel="loss"))
+    traj = _write_trajectory(_outdir(args.out), obj, _run_config(args, obj), args.sharpness)
     if traj.diverged:
         print("diverged = 1")
         return EXIT_OK
@@ -182,15 +265,7 @@ def cmd_trajectory(args) -> int:
 
 def cmd_psd(args) -> int:
     obj = _objective(args)
-    eta, _ = _resolve(args, obj)
-    w0 = _parse_w0(args.w0, obj.dim)
-    traj = run(obj, GDConfig(w0=w0, max_iters=args.iters, eta=eta))
-    res = psd(traj.dense_tail_losses(), window=args.window)
-    out = _outdir(args)
-    (out / "psd.csv").write_text(psd_to_csv(res))
-    (out / "psd.svg").write_text(svg.line_svg(
-        res.freqs, res.power, title="loss power spectral density",
-        xlabel="cycles per iteration", ylabel="power"))
+    res = _write_psd(_outdir(args.out), run(obj, _run_config(args, obj)), args.window)
     top = int(np.argmax(res.power[1:]) + 1) if len(res.power) > 1 else 0
     print(f"dominant_freq = {format(res.freqs[top], '.17g')}")
     return EXIT_OK
@@ -199,38 +274,10 @@ def cmd_psd(args) -> int:
 def cmd_bifurcate(args) -> int:
     obj = _objective(args)
     if args.eta_max <= args.eta_min:
-        raise SystemExit2("--eta-max must exceed --eta-min")
+        raise UsageError("--eta-max must exceed --eta-min")
     grid = np.linspace(args.eta_min, args.eta_max, args.steps)
-    sweep = bifurcation_sweep(
-        obj, grid, n_inits=args.inits, T=args.iters, seed=args.seed,
-        pn_group=args.pn_group,
-    )
-    out = _outdir(args)
-    (out / "sweep.csv").write_text(sweep_to_csv(sweep))
-    xs, ys, ss = [], [], []
-    for cell in sweep.cells:
-        if cell.diverged:
-            continue
-        for lv in cell.final_losses:
-            xs.append(cell.eta)
-            ys.append(lv)
-        ss.append((cell.eta, cell.scaled_sharpness))
-    (out / "sweep_loss.svg").write_text(svg.scatter_svg(
-        xs, ys, title="final losses vs step size", xlabel="eta", ylabel="loss"))
-    (out / "sweep_sharpness.svg").write_text(svg.scatter_svg(
-        [s[0] for s in ss], [s[1] for s in ss],
-        title="scaled sharpness vs step size", xlabel="eta",
-        ylabel="eta*lambda_max/2"))
-    if args.pn_group is not None:
-        px, py = [], []
-        for cell in sweep.cells:
-            if cell.diverged or cell.final_pn is None:
-                continue
-            for pv in cell.final_pn:
-                px.append(cell.eta)
-                py.append(pv)
-        (out / "sweep_pn.svg").write_text(svg.scatter_svg(
-            px, py, title="final probabilities vs step size", xlabel="eta", ylabel="p"))
+    sweep = _write_sweep(_outdir(args.out), obj, grid, args.inits, args.iters, args.seed,
+                         args.pn_group)
     print(f"cells = {len(sweep.cells)}")
     return EXIT_OK
 
@@ -238,51 +285,23 @@ def cmd_bifurcate(args) -> int:
 def cmd_basin(args) -> int:
     obj = _objective(args)
     if obj.dim != 2:
-        raise SystemExit2("basin rasterization needs a 2-dimensional dataset")
-    eta, sol = _resolve(args, obj)
-    if sol is None:
-        sol = minimize(obj)
-    w0 = _parse_w0(args.w0, 2)
-    traj = run(obj, GDConfig(w0=w0, max_iters=args.iters, eta=eta))
-    rep = detect_cycle(obj, traj)
-    if rep.kind != "cycle":
-        raise GDCyclesError(
-            f"no cycle found from w0={args.w0} (got {rep.kind}); basin needs both attractors"
-        )
-    raster = basin_raster(
-        obj, eta, (args.xmin, args.xmax, args.ymin, args.ymax),
-        (args.nx, args.ny), (sol.w_star, rep.orbit), T=args.basin_iters,
-    )
-    out = _outdir(args)
-    (out / "basin.pgm").write_text(raster_to_pgm(raster))
-    (out / "basin_header.txt").write_text(raster_header(raster, gamma=args.gamma))
-    counts = {int(v): int(c) for v, c in
-              zip(*np.unique(raster.labels, return_counts=True))}
-    total = raster.labels.size
+        raise UsageError("basin rasterization needs a 2-dimensional dataset")
+    sol = minimize(obj)
+    rep, raster = _write_basin(
+        _outdir(args.out), obj, _run_config(args, obj, sol), sol,
+        (args.xmin, args.xmax, args.ymin, args.ymax), (args.nx, args.ny),
+        args.basin_iters, gamma=args.gamma)
     print(f"cycle_period = {rep.period}")
-    print(f"frac_to_fixed_point = {counts.get(2, 0) / total:.6f}")
-    print(f"frac_to_cycle = {counts.get(1, 0) / total:.6f}")
-    print(f"frac_other = {counts.get(0, 0) / total:.6f}")
+    for key, label in (("to_fixed_point", LABEL_TO_FIXED_POINT), ("to_cycle", LABEL_TO_CYCLE),
+                       ("other", LABEL_OTHER)):
+        print(f"frac_{key} = {np.mean(raster.labels == label):.6f}")
     return EXIT_OK
 
 
 def cmd_eos(args) -> int:
-    spec = json.loads(Path(args.recipe).read_text())
-    recipe = Recipe1D(
-        m=spec["m"], n=spec["n"], x_big=spec["x_big"], b=spec["b"],
-        gamma=spec["gamma"], w0=spec["w0"],
-    )
-    stacked, eta, w0 = eos_demo(recipe, args.k, iters=args.iters)
-    obj = Objective(stacked, get_loss(args.loss))
-    traj = run(obj, GDConfig(w0=w0, max_iters=args.stack_iters, eta=eta))
-    start = max(0, len(traj.iterates) - args.tail)
-    sharp = sharpness_series(obj, traj, start=start)
-    out = _outdir(args)
-    lines = ["t,loss,sharpness"]
-    for i, t in enumerate(traj.times[start:]):
-        lines.append(f"{int(t)},{format(traj.losses[start + i], '.17g')},"
-                     f"{format(sharp[i], '.17g')}")
-    (out / "eos_sharpness.csv").write_text("\n".join(lines) + "\n")
+    recipe = _recipe_1d(json.loads(args.recipe.read_text()))
+    eta, sharp = _write_eos(_outdir(args.out), recipe, args.k, get_loss(args.loss),
+                            args.iters, args.stack_iters, args.tail)
     print(f"eta = {format(eta, '.17g')}")
     print(f"two_over_eta = {format(2.0 / eta, '.17g')}")
     print(f"tail_sharpness_min = {format(float(np.min(sharp)), '.17g')}")
@@ -291,104 +310,51 @@ def cmd_eos(args) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# repro: run the checked-in recipes end-to-end
-# ---------------------------------------------------------------------------
-
-def _recipe_path(name: str):
-    return resources.files("gdcycles").joinpath("recipes", name)
-
-
-def _repro_trajectory(out: Path, name: str, iters: int):
-    cfg = json.loads(_recipe_path(f"{name}.json").read_text())
-    ds = parse_compact(_recipe_path(f"{name}.cds").read_text())
-    obj = Objective(ds, get_loss(cfg["loss"]))
-    sol = minimize(obj)
-    eta = cfg["gamma"] / sol.lambda_star
-    traj = run(obj, GDConfig(w0=np.array(cfg["w0"]), max_iters=iters, eta=eta))
-    rep = detect_cycle(obj, traj)
-    sub = out / name
-    sub.mkdir(parents=True, exist_ok=True)
-    (sub / "trajectory.csv").write_text(trajectory_to_csv(traj))
-    res = psd(traj.dense_tail_losses())
-    (sub / "psd.csv").write_text(psd_to_csv(res))
-    print(f"{name}: kind={rep.kind} period={rep.period} eta={eta:.6f}")
-    return obj, sol, eta, rep
-
-
 def cmd_repro(args) -> int:
-    out = _outdir(args)
-    quick = args.quick
-    iters_1d = 60_000 if quick else 150_000
-    iters_2d = 60_000 if quick else 150_000
+    """Every checked-in recipe through the pipeline that shows its claim."""
+    out, quick = args.out, args.quick
+    iters = 60_000 if quick else 150_000
 
-    for name in ("period4_1d", "period7_1d", "period37_1d"):
-        _repro_trajectory(out, name, iters_1d)
-    _repro_trajectory(out, "period13_2d", iters_2d)
+    # limit classification: stable cycles below 2/lambda, and the
+    # undetermined, positive-Lyapunov case
+    for name in ("period4_1d", "period7_1d", "period37_1d", "period13_2d", "chaotic_1d"):
+        obj, _, cfg, _ = _recipe_run(name, iters)
+        sub = _outdir(out / name)
+        traj = _write_trajectory(sub, obj, cfg)
+        _write_psd(sub, traj)
+        rep = detect_cycle(obj, traj)
+        print(f"{name}: kind={rep.kind} period={rep.period} eta={traj.eta:.6f}")
 
     # toy two-example sweep: symmetric two-point oscillation past eta = 8,
     # visible in the probe probability rather than the loss
-    ds = parse_compact(_recipe_path("toy_n2.cds").read_text())
-    obj = Objective(ds, get_loss("logistic"))
-    grid = np.round(np.arange(7.0, 10.0001, 0.05), 10)
-    sweep = bifurcation_sweep(obj, grid, n_inits=4, T=4_000 if quick else 20_000,
-                              seed=args.seed, pn_group=1)
-    sub = out / "toy_sweep_n2"
-    sub.mkdir(parents=True, exist_ok=True)
-    (sub / "sweep.csv").write_text(sweep_to_csv(sweep))
-    px, py = [], []
-    for cell in sweep.cells:
-        if not cell.diverged and cell.final_pn is not None:
-            for pv in cell.final_pn:
-                px.append(cell.eta)
-                py.append(pv)
-    (sub / "sweep_pn.svg").write_text(svg.scatter_svg(
-        px, py, title="two-example oscillation onset", xlabel="eta", ylabel="p"))
+    obj, spec = _load_recipe("toy_n2")
+    lo, hi, step = spec["eta_grid"]
+    grid = np.round(np.arange(lo, hi + step / 2, step), 10)
+    sweep = _write_sweep(_outdir(out / "toy_sweep_n2"), obj, grid, 4,
+                         4_000 if quick else 20_000, args.seed, spec["pn_group"])
     print(f"toy_sweep_n2: {len(sweep.cells)} cells")
 
     # basin raster for the co-stable two-dimensional example
-    cfg = json.loads(_recipe_path("basin_2d.json").read_text())
-    ds = parse_compact(_recipe_path("basin_2d.cds").read_text())
-    obj = Objective(ds, get_loss(cfg["loss"]))
-    sol = minimize(obj)
-    eta = cfg["gamma"] / sol.lambda_star
-    traj = run(obj, GDConfig(w0=np.array(cfg["w0"]), max_iters=60_000, eta=eta))
-    rep = detect_cycle(obj, traj)
+    obj, sol, cfg, spec = _recipe_run("basin_2d", 60_000)
     res = 32 if quick else 64
-    raster = basin_raster(obj, eta, (-10, 30, -10, 30), (res, res),
-                          (sol.w_star, rep.orbit), T=1_000 if quick else 4_000)
-    sub = out / "basin_2d"
-    sub.mkdir(parents=True, exist_ok=True)
-    (sub / "basin.pgm").write_text(raster_to_pgm(raster))
-    (sub / "basin_header.txt").write_text(raster_header(raster, gamma=cfg["gamma"]))
+    rep, _ = _write_basin(_outdir(out / "basin_2d"), obj, cfg, sol, spec["bounds"],
+                          (res, res), 1_000 if quick else 4_000, gamma=spec["gamma"])
     print(f"basin_2d: period={rep.period} grid={res}x{res}")
 
-    # stacked example with sharpness pinned above 2/eta
-    cfg = json.loads(_recipe_path("period4_1d.json").read_text())
-    recipe = Recipe1D(m=cfg["m"], n=cfg["n"], x_big=cfg["x_big"], b=cfg["b"],
-                      gamma=cfg["gamma"], w0=cfg["w0"][0])
-    stacked, eta_st, w0 = eos_demo(recipe, 4, iters=iters_1d)
-    obj = Objective(stacked, get_loss("logistic"))
-    traj = run(obj, GDConfig(w0=w0, max_iters=10_000 if quick else 30_000, eta=eta_st))
-    start = max(0, len(traj.iterates) - 2048)
-    sharp = sharpness_series(obj, traj, start=start)
-    sub = out / "eos_stacked"
-    sub.mkdir(parents=True, exist_ok=True)
-    lines = ["t,loss,sharpness"]
-    for i, t in enumerate(traj.times[start:]):
-        lines.append(f"{int(t)},{format(traj.losses[start + i], '.17g')},"
-                     f"{format(sharp[i], '.17g')}")
-    (sub / "eos_sharpness.csv").write_text("\n".join(lines) + "\n")
-    print(f"eos_stacked: eta={eta_st:.6f} 2/eta={2 / eta_st:.6f} "
+    # stacked period-4 example with sharpness pinned above 2/eta
+    obj, spec = _load_recipe("period4_1d")
+    eta, sharp = _write_eos(_outdir(out / "eos_stacked"), _recipe_1d(spec), 4, obj.loss,
+                            iters, 10_000 if quick else 30_000, 2048)
+    print(f"eos_stacked: eta={eta:.6f} 2/eta={2 / eta:.6f} "
           f"tail sharpness={float(np.mean(sharp)):.6f}")
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="gdcycles",
-                     description="GD dynamics lab for non-separable linear classification")
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="gdcycles", description="GD dynamics lab for non-separable linear classification")
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("solve", help="minimizer and critical step sizes")
@@ -454,26 +420,15 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit2 as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+        args = build_parser().parse_args(argv)
+        return args.fn(args)
     except SystemExit as exc:
         # argparse exits 0 for --help; treat anything else as usage error
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    try:
-        return args.fn(args)
-    except SystemExit2 as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (UsageError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SeparableDataError, DegenerateDataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except GDCyclesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

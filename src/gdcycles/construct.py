@@ -27,7 +27,7 @@ from .analysis import detect_cycle
 from .data import Dataset, check_separable
 from .dynamics import GDConfig, run
 from .exceptions import ConvergenceError, SeparableDataError
-from .losses import ScalarLoss, logistic
+from .losses import ScalarLoss, logistic, sigmoid
 from .objective import Objective, minimize
 
 __all__ = [
@@ -87,13 +87,6 @@ def toy_lambda(n: int) -> float:
     return (n - 1) / (n * n)
 
 
-def _sigmoid_scalar(u: float) -> float:
-    if u >= 0:
-        return 1.0 / (1.0 + math.exp(-u))
-    eu = math.exp(u)
-    return eu / (1.0 + eu)
-
-
 def toy_map_step(n: int, eta: float, p: float) -> float:
     """The scalar probability map of the conflict dataset:
 
@@ -105,7 +98,7 @@ def toy_map_step(n: int, eta: float, p: float) -> float:
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly inside (0, 1)")
     u = math.log(p) - math.log1p(-p)
-    return _sigmoid_scalar(u - (eta / n) * (p - (n - 1) * (1.0 - p)))
+    return sigmoid(u - (eta / n) * (p - (n - 1) * (1.0 - p)))
 
 
 def iterate_toy_map(n: int, eta: float, p0: float, iters: int) -> np.ndarray:
@@ -117,9 +110,9 @@ def iterate_toy_map(n: int, eta: float, p0: float, iters: int) -> np.ndarray:
     out = np.empty(iters + 1)
     out[0] = p0
     for t in range(1, iters + 1):
-        p = _sigmoid_scalar(u)
+        p = sigmoid(u)
         u = u - (eta / n) * (p - (n - 1) * (1.0 - p))
-        out[t] = _sigmoid_scalar(u)
+        out[t] = sigmoid(u)
     return out
 
 

@@ -9,12 +9,13 @@ consecutive steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .objective import Objective, Solution, lambda_max
+from .losses import sigmoid
+from .objective import DIVERGENCE_NORM, Objective, Solution
 
 __all__ = [
     "GDConfig",
@@ -30,7 +31,6 @@ __all__ = [
     "lyapunov",
 ]
 
-DIVERGENCE_NORM = 1e12
 DEFAULT_TAIL_WINDOW = 4096
 _PROB_CLAMP_LO = 1e-300
 
@@ -76,6 +76,8 @@ class GDConfig:
 
     def __post_init__(self):
         self.w0 = np.atleast_1d(np.asarray(self.w0, dtype=float))
+        if not np.all(np.isfinite(self.w0)):
+            raise ValueError(f"w0 must be finite, got {self.w0}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
         if self.record_every < 1:
@@ -122,21 +124,23 @@ class Trajectory:
         return self.losses[self._dense_from():]
 
 
-def gd_step(obj: Objective, w: np.ndarray, eta: float) -> np.ndarray:
-    """One step of the GD map T(w) = w - eta * grad L(w)."""
-    if eta <= 0.0:
-        raise ValueError("eta must be positive")
-    out = np.asarray(w, dtype=float) - eta * obj.gradient(w)
-    if not np.all(np.isfinite(out)):
-        raise FloatingPointError("non-finite GD step")
-    return out
-
-
 def step_many(obj: Objective, W: np.ndarray, eta: float) -> np.ndarray:
-    """Vectorized gd_step over the rows of W, shape (m, d)."""
+    """The GD map T(w) = w - eta * grad L(w) applied to each row of W, shape
+    (m, d); a 1-D W is a single state."""
     Z = W @ obj._A.T                       # margins per row
     P = obj.loss.d1(Z) * obj._wts
     return W - eta * (P @ obj._A)
+
+
+def gd_step(obj: Objective, w: np.ndarray, eta: float) -> np.ndarray:
+    """One checked step of the GD map: eta must be positive and the step
+    finite."""
+    if eta <= 0.0:
+        raise ValueError("eta must be positive")
+    out = step_many(obj, np.asarray(w, dtype=float), eta)
+    if not np.all(np.isfinite(out)):
+        raise FloatingPointError("non-finite GD step")
+    return out
 
 
 def run(obj: Objective, cfg: GDConfig, solution: Optional[Solution] = None) -> Trajectory:
@@ -203,20 +207,10 @@ def _require_logistic(obj: Objective):
         raise TypeError("the probability-space recurrence is specific to the logistic loss")
 
 
-def _sigmoid(z):
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def probs_from_weights(obj: Objective, w: np.ndarray) -> np.ndarray:
     """Per-group probabilities p_i = sigma(-y_i w.x_i)."""
     _require_logistic(obj)
-    return _sigmoid(obj.margins(w))
+    return sigmoid(obj.margins(w))
 
 
 def prob_step(obj: Objective, p: np.ndarray, eta: float) -> np.ndarray:
@@ -234,7 +228,7 @@ def prob_step(obj: Objective, p: np.ndarray, eta: float) -> np.ndarray:
         raise ValueError("probabilities must lie strictly inside (0, 1)")
     logit = np.log(p) - np.log1p(-p)
     drive = obj.gram @ (obj.ds.counts * p) / obj.ds.total_count
-    return _sigmoid(logit - eta * drive)
+    return sigmoid(logit - eta * drive)
 
 
 def run_prob(obj: Objective, p0: np.ndarray, eta: float, iters: int) -> np.ndarray:

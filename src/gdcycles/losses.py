@@ -9,7 +9,7 @@ shipped losses (logistic and squareplus) both pass it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -22,6 +22,7 @@ __all__ = [
     "squareplus",
     "get_loss",
     "LOSS_NAMES",
+    "sigmoid",
     "verify_assumption1",
     "relu_limit_gap",
 ]
@@ -49,10 +50,11 @@ def _out(arr):
     return float(arr) if arr.ndim == 0 else arr
 
 
-def _sigmoid(z):
+def sigmoid(z):
+    """1 / (1 + exp(-z)), evaluated from the small side so it never overflows."""
     z = np.asarray(z, dtype=float)
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return _out(np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e)))
 
 
 def _logistic_eval(z):
@@ -66,10 +68,6 @@ def _logistic_eval(z):
     return _out(out)
 
 
-def _logistic_d1(z):
-    return _out(_sigmoid(z))
-
-
 def _logistic_d2(z):
     # sigma(z)(1-sigma(z)) evaluated from the small side so it stays positive
     # for |z| up to ~700 instead of flushing to 0 at z ~ +37.
@@ -81,7 +79,7 @@ def _logistic_d2(z):
 
 def logistic() -> ScalarLoss:
     """log(1 + exp(z)) with overflow-safe evaluation for large z."""
-    return ScalarLoss("logistic", _logistic_eval, _logistic_d1, _logistic_d2)
+    return ScalarLoss("logistic", _logistic_eval, sigmoid, _logistic_d2)
 
 
 def _squareplus_eval(z):

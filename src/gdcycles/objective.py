@@ -26,7 +26,8 @@ from .losses import ScalarLoss
 
 __all__ = ["Objective", "Solution", "lambda_max", "minimize"]
 
-_DIVERGENCE_NORM = 1e12
+# sup-norm past which an iterate counts as diverged
+DIVERGENCE_NORM = 1e12
 
 
 class Objective:
@@ -226,7 +227,7 @@ def minimize(
                         "Hessian singular beyond the damping floor"
                     )
             iters += 1
-            if float(np.max(np.abs(w))) > _DIVERGENCE_NORM:
+            if float(np.max(np.abs(w))) > DIVERGENCE_NORM:
                 raise SeparableDataError(
                     "divergence while minimizing; data likely separable or degenerate"
                 )
@@ -242,7 +243,7 @@ def minimize(
             iters += 1
             if iters >= cap:
                 raise ConvergenceError(f"GD did not reach tol={tol} in {cap} iterations")
-            if float(np.max(np.abs(w))) > _DIVERGENCE_NORM:
+            if float(np.max(np.abs(w))) > DIVERGENCE_NORM:
                 raise SeparableDataError(
                     "divergence while minimizing; data likely separable or degenerate"
                 )

@@ -74,10 +74,12 @@ class TestTrajectory:
         assert (out_dir / "loss.svg").exists()
 
     def test_eta_and_gamma_mutually_exclusive(self, capsys, toy2_file):
-        code, _, err = run_cli(capsys, "trajectory", "--data", str(toy2_file),
-                               "--eta", "1.0", "--gamma", "0.5", "--w0", "1",
-                               "--iters", "100")
-        assert code == 1
+        # both, then neither: exactly one step-size flag is required
+        for step in (["--eta", "1.0", "--gamma", "0.5"], []):
+            code, _, err = run_cli(capsys, "trajectory", "--data", str(toy2_file),
+                                   *step, "--w0", "1", "--iters", "100")
+            assert code == 1
+            assert "--eta" in err and "--gamma" in err
 
 
 class TestPsd:
@@ -163,6 +165,15 @@ class TestEos:
         csv = (out_dir / "eos_sharpness.csv").read_text()
         assert csv.splitlines()[0] == "t,loss,sharpness"
 
+    def test_loss_applies_to_base_run(self, capsys, tmp_path):
+        # under squareplus the period-4 recipe's base run settles to its
+        # fixed point, so there is no cycle to stack
+        code, _, err = run_cli(
+            capsys, "eos", "--recipe", str(RECIPES / "period4_1d.json"), "--k", "4",
+            "--loss", "squareplus", "--iters", "60000", "--out", str(tmp_path / "eos"))
+        assert code == 2
+        assert "does not produce a cycle" in err
+
 
 class TestRepro:
     def test_quick_repro_runs_everything(self, capsys, tmp_path):
@@ -173,7 +184,9 @@ class TestRepro:
         assert "period7_1d: kind=cycle period=7" in out
         assert "period37_1d: kind=cycle period=37" in out
         assert "period13_2d: kind=cycle period=13" in out
+        assert "chaotic_1d: kind=undetermined period=0" in out
         for rel in ("period7_1d/trajectory.csv", "period7_1d/psd.csv",
+                    "chaotic_1d/trajectory.csv", "chaotic_1d/psd.csv",
                     "toy_sweep_n2/sweep.csv", "toy_sweep_n2/sweep_pn.svg",
                     "basin_2d/basin.pgm", "eos_stacked/eos_sharpness.csv"):
             assert (out_dir / rel).exists(), rel
@@ -188,3 +201,17 @@ class TestUsageErrors:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+    @pytest.mark.parametrize("data,argv", [
+        ("toy_n2.cds", ["trajectory", "--eta", "-1", "--w0", "1"]),
+        ("toy_n2.cds", ["trajectory", "--eta", "nan", "--w0", "1"]),
+        ("basin_2d.cds", ["basin", "--eta", "-1", "--w0", "15,4"]),
+        ("toy_n2.cds", ["trajectory", "--eta", "1", "--w0", "nan"]),
+    ], ids=["negative-eta", "nan-eta", "basin-negative-eta", "nan-w0"])
+    def test_invalid_step_size_or_w0_exits_1(self, capsys, tmp_path, data, argv):
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(capsys, *argv, "--data", str(RECIPES / data),
+                               "--iters", "100", "--out", str(out_dir))
+        assert code == 1
+        assert err.startswith("error: ")
+        assert not (out_dir / "trajectory.csv").exists()

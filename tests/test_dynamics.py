@@ -104,6 +104,11 @@ class TestRun:
         with pytest.raises(ValueError):
             g.resolve_eta()
 
+    @pytest.mark.parametrize("w0", [[math.nan], [1.0, math.inf]])
+    def test_non_finite_w0_rejected(self, w0):
+        with pytest.raises(ValueError, match="w0 must be finite"):
+            g.GDConfig(w0=w0, max_iters=10, eta=1.0)
+
 
 class TestInvariantRayProperties:
     """w* > 0, eta <= 1/L''(w*): the ray [w*, inf) maps into itself and
