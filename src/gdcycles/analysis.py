@@ -86,7 +86,8 @@ def detect_cycle(
 
     The residual for candidate k compares the final k iterates with the k
     before them, sup-norm, relative to 1 + the iterate magnitude.  Scanning k
-    upward guarantees minimality; an explicit divisor assertion re-checks it.
+    upward guarantees minimality: every smaller k, its divisors included, has
+    already failed to close the window.
     """
     tail = traj.dense_tail()
     if len(tail) < 2 * k_max:
@@ -105,13 +106,6 @@ def detect_cycle(
     lyap = _lyapunov_from_states(obj, tail, eta)
     if found == 0:
         return CycleReport("undetermined", 0, tail[:0], float("nan"), float("nan"), lyap)
-
-    # minimality: no proper divisor may also close the window
-    for div in range(1, found):
-        if found % div == 0:
-            assert _window_residual(tail, div) >= tol, (
-                f"period {found} detected but divisor {div} also closes the tail"
-            )
 
     orbit = tail[-found:].copy()
     if found == 1:
@@ -191,11 +185,20 @@ def _dedup(values: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
     vals = vals[np.isfinite(vals)]
     if len(vals) == 0:
         return vals
+    # an exact repeat always collapses into the representative before it;
+    # Python floats run the comparison faster than numpy scalars, with the
+    # same binary64 arithmetic
+    vals = vals[np.concatenate(([True], vals[1:] != vals[:-1]))].tolist()
     out = [vals[0]]
     for v in vals[1:]:
         if abs(v - out[-1]) > rtol * max(1.0, abs(v), abs(out[-1])):
             out.append(v)
     return np.array(out)
+
+
+# A sweep block's two tail buffers hold at most this many floats each (512
+# KiB), so the sweep's memory does not grow with the grid.
+_SWEEP_BLOCK_FLOATS = 2**16
 
 
 def bifurcation_sweep(
@@ -215,6 +218,14 @@ def bifurcation_sweep(
     across init indices, all deterministic from ``seed`` and shared across
     step sizes.  Divergence is recorded per cell, never raised.
 
+    The pairs are stepped together in blocks of consecutive step sizes, each
+    block an (etas, n_inits, d) stack with one step size per layer, sized so
+    that each tail buffer holds at most 2**16 values, or one step size's
+    n_inits * min(tail, T) when that is more.  Every matrix product then
+    runs on the same (n_inits, d) layers as a one-step-size sweep, so a cell
+    does not depend on the grid around it: BLAS may round a row differently
+    by its position in a product.
+
     ``pn_group`` optionally also records the distinct tail values of the
     probability p = sigma(-y_g w.x_g) for one dataset group; loss and
     sharpness are blind to symmetric two-point oscillations (the two points
@@ -223,48 +234,55 @@ def bifurcation_sweep(
     eta_grid = np.asarray(eta_grid, dtype=float)
     if np.any(np.diff(eta_grid) <= 0.0):
         raise ValueError("eta_grid must be strictly ascending")
+    if n_inits < 1 or T < 1 or tail < 1:
+        raise ValueError(f"n_inits, T and tail must be positive, got {n_inits}, {T}, {tail}")
+    A = obj._A
+    if pn_group is not None and not 0 <= pn_group < len(A):
+        raise ValueError(f"pn_group must index one of the {len(A)} dataset groups, "
+                         f"got {pn_group}")
     rng = np.random.default_rng(seed)
     d = obj.dim
     scale_arr = np.array([scales[i % len(scales)] for i in range(n_inits)])
     inits = rng.standard_normal((n_inits, d)) * scale_arr[:, None]
     tail_steps = min(tail, T)
+    etas_per_block = max(1, _SWEEP_BLOCK_FLOATS // (tail_steps * n_inits))
 
-    A = obj._A
     wts = obj._wts
     loss = obj.loss
-    pn_row = None
-    if pn_group is not None:
-        pn_row = A[pn_group]
+    pn_row = None if pn_group is None else A[pn_group]
 
     cells = []
-    for eta in eta_grid:
-        W = inits.copy()
-        alive = np.ones(n_inits, dtype=bool)
-        tail_losses = np.full((tail_steps, n_inits), np.nan)
-        tail_pn = np.full((tail_steps, n_inits), np.nan) if pn_group is not None else None
+    for lo in range(0, len(eta_grid), etas_per_block):
+        etas = eta_grid[lo:lo + etas_per_block]
+        eta_layers = etas[:, None, None]
+        shape = (len(etas), n_inits)
+        W = np.broadcast_to(inits, shape + (d,))
+        alive = np.ones(shape, dtype=bool)
+        tail_losses = np.full((tail_steps,) + shape, np.nan)
+        tail_pn = np.full((tail_steps,) + shape, np.nan) if pn_row is not None else None
         for t in range(1, T + 1):
-            W = step_many(obj, W, eta)
+            W = step_many(obj, W, eta_layers)
             with np.errstate(invalid="ignore"):
-                bad = ~(np.max(np.abs(W), axis=1) <= DIVERGENCE_NORM)
+                bad = ~(np.max(np.abs(W), axis=2) <= DIVERGENCE_NORM)
             if np.any(bad & alive):
                 alive &= ~bad
             if not np.all(alive):
                 W[~alive] = 0.0  # frozen; excluded from reporting
             k = t - (T - tail_steps)
             if k >= 1:
-                Z = W @ A.T
-                tail_losses[k - 1] = loss.f(Z) @ wts
+                tail_losses[k - 1] = loss.f(W @ A.T) @ wts
                 if tail_pn is not None:
                     tail_pn[k - 1] = sigmoid(W @ pn_row)
-        for i in range(n_inits):
-            if not alive[i]:
-                cells.append(SweepCell(float(eta), i, np.array([]), float("nan"), True,
-                                       np.array([]) if pn_group is not None else None))
-                continue
-            fl = _dedup(tail_losses[:, i])
-            sharp = float(eta) * lambda_max(obj.hessian(W[i])) / 2.0
-            fp = _dedup(tail_pn[:, i]) if tail_pn is not None else None
-            cells.append(SweepCell(float(eta), i, fl, sharp, False, fp))
+        for j, eta in enumerate(etas.tolist()):
+            for i in range(n_inits):
+                if not alive[j, i]:
+                    cells.append(SweepCell(eta, i, np.array([]), float("nan"), True,
+                                           np.array([]) if pn_row is not None else None))
+                    continue
+                fl = _dedup(tail_losses[:, j, i])
+                sharp = eta * lambda_max(obj.hessian(W[j, i])) / 2.0
+                fp = _dedup(tail_pn[:, j, i]) if tail_pn is not None else None
+                cells.append(SweepCell(eta, i, fl, sharp, False, fp))
     return BifurcationSweep(eta_grid, tuple(cells), seed, tuple(scales), n_inits)
 
 

@@ -265,7 +265,11 @@ def cmd_trajectory(args) -> int:
 
 def cmd_psd(args) -> int:
     obj = _objective(args)
-    res = _write_psd(_outdir(args.out), run(obj, _run_config(args, obj)), args.window)
+    traj = run(obj, _run_config(args, obj))
+    try:
+        res = _write_psd(_outdir(args.out), traj, args.window)
+    except ValueError as exc:  # window not a power of two, or longer than the tail
+        raise UsageError(str(exc)) from None
     top = int(np.argmax(res.power[1:]) + 1) if len(res.power) > 1 else 0
     print(f"dominant_freq = {format(res.freqs[top], '.17g')}")
     return EXIT_OK
@@ -275,9 +279,12 @@ def cmd_bifurcate(args) -> int:
     obj = _objective(args)
     if args.eta_max <= args.eta_min:
         raise UsageError("--eta-max must exceed --eta-min")
-    grid = np.linspace(args.eta_min, args.eta_max, args.steps)
-    sweep = _write_sweep(_outdir(args.out), obj, grid, args.inits, args.iters, args.seed,
-                         args.pn_group)
+    try:
+        grid = np.linspace(args.eta_min, args.eta_max, args.steps)
+        sweep = _write_sweep(_outdir(args.out), obj, grid, args.inits, args.iters, args.seed,
+                             args.pn_group)
+    except ValueError as exc:  # --steps, --inits, --iters or --pn-group out of range
+        raise UsageError(str(exc)) from None
     print(f"cells = {len(sweep.cells)}")
     return EXIT_OK
 
@@ -299,7 +306,12 @@ def cmd_basin(args) -> int:
 
 
 def cmd_eos(args) -> int:
-    recipe = _recipe_1d(json.loads(args.recipe.read_text()))
+    try:
+        recipe = _recipe_1d(json.loads(args.recipe.read_text()))
+    except KeyError as exc:
+        raise UsageError(f"recipe {args.recipe} lacks the key {exc}") from None
+    except (TypeError, ValueError) as exc:  # invalid JSON or an out-of-range value
+        raise UsageError(f"recipe {args.recipe}: {exc}") from None
     eta, sharp = _write_eos(_outdir(args.out), recipe, args.k, get_loss(args.loss),
                             args.iters, args.stack_iters, args.tail)
     print(f"eta = {format(eta, '.17g')}")

@@ -277,7 +277,7 @@ def check_separable(ds: Dataset, perceptron_cap: int = 10**6) -> SeparabilityVer
         out = _check_2d(pts)
     else:
         out = _check_perceptron(pts, perceptron_cap)
-    if out.verdict == "separable":
+    if out.verdict == "separable" and not float(np.min(pts @ out.witness)) > 0.0:
         # contract: the witness must survive an exact re-check
-        assert float(np.min(pts @ out.witness)) > 0.0
+        raise AssertionError(f"separating witness {out.witness} fails the exact re-check")
     return out

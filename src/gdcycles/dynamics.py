@@ -10,7 +10,7 @@ consecutive steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -124,9 +124,12 @@ class Trajectory:
         return self.losses[self._dense_from():]
 
 
-def step_many(obj: Objective, W: np.ndarray, eta: float) -> np.ndarray:
+def step_many(obj: Objective, W: np.ndarray, eta: Union[float, np.ndarray]) -> np.ndarray:
     """The GD map T(w) = w - eta * grad L(w) applied to each row of W, shape
-    (m, d); a 1-D W is a single state."""
+    (m, d); a 1-D W is a single state, and an (s, m, d) W a stack of s
+    batches whose products run layer by layer.  ``eta`` is one step size for
+    every row, an (m, 1) column giving each row its own, or an (s, 1, 1)
+    array giving each layer of a stack its own."""
     Z = W @ obj._A.T                       # margins per row
     P = obj.loss.d1(Z) * obj._wts
     return W - eta * (P @ obj._A)

@@ -1,7 +1,11 @@
 """Cycle detection, periodograms, sweeps, basins, and sharpness series."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gdcycles as g
 from gdcycles.analysis import _dedup, sweep_to_csv
@@ -124,7 +128,40 @@ class TestPsd:
         assert len(res.freqs) == 513 and len(res.power) == 513
 
 
+def _dedup_reference(values, rtol=1e-9):
+    """The numpy-scalar loop _dedup replaced, kept as its oracle."""
+    vals = np.sort(np.asarray(values, dtype=float))
+    vals = vals[np.isfinite(vals)]
+    if len(vals) == 0:
+        return vals
+    out = [vals[0]]
+    for v in vals[1:]:
+        if abs(v - out[-1]) > rtol * max(1.0, abs(v), abs(out[-1])):
+            out.append(v)
+    return np.array(out)
+
+
+# values a sweep tail produces: exact and near repeats of a few anchors
+# (0 of both signs, tiny, large, negative, non-finite), plus arbitrary floats
+_ANCHORS = st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-12, 7e8, -3e12,
+                            math.nan, math.inf, -math.inf])
+_NUDGES = st.sampled_from([0.0, 1e-16, -1e-16, 4e-10, -6e-10, 1e-9, 2e-9, 1e-6])
+_TAIL_VALUES = st.lists(st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    _ANCHORS,
+    st.builds(lambda a, e: a + e * max(1.0, abs(a)), _ANCHORS, _NUDGES),
+), max_size=80)
+
+
 class TestDedup:
+    @settings(max_examples=400, deadline=None)
+    @given(_TAIL_VALUES, st.sampled_from([1e-9, 0.0, 1e-3]))
+    def test_matches_reference_loop_bit_for_bit(self, values, rtol):
+        got = _dedup(np.array(values, dtype=float), rtol=rtol)
+        want = _dedup_reference(np.array(values, dtype=float), rtol=rtol)
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
     def test_collapses_near_equal(self):
         vals = np.array([1.0, 1.0 + 1e-12, 2.0, 2.0 - 1e-12, 5.0])
         out = _dedup(vals, rtol=1e-9)
@@ -178,6 +215,46 @@ class TestBifurcationSweep:
             assert len(cell.final_losses) == 1  # equal loss at both points
             assert len(cell.final_pn) == 2
             np.testing.assert_allclose(np.sort(cell.final_pn), [lo, hi], atol=1e-7)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"pn_group": 2}, {"pn_group": -1}, {"n_inits": 0}, {"T": 0},
+    ], ids=["pn-group-past-end", "pn-group-negative", "no-inits", "no-steps"])
+    def test_out_of_range_arguments_rejected(self, kwargs):
+        obj = g.Objective(g.make_toy(g.ToySpec(2, [1.0])), g.logistic())
+        args = {"n_inits": 2, "T": 10, **kwargs}
+        with pytest.raises(ValueError):
+            g.bifurcation_sweep(obj, [1.0, 9.0], **args)
+
+    @pytest.mark.parametrize("case", ["diverging-1d", "nine-inits-2d"])
+    def test_blocks_match_one_step_size_sweeps(self, case):
+        # the grids span several row blocks; each cell must equal, bit for
+        # bit, the cell of a sweep over its step size alone.  Nine inits is
+        # not a multiple of BLAS's row unrolling, so a flat (rows, d) batch
+        # would round some rows differently from a nine-row one.
+        if case == "diverging-1d":
+            obj = g.Objective(g.parse_compact("1 1 1\n"), g.logistic())
+            grid, kw = np.geomspace(1.0, 1e13, 30), {"n_inits": 5, "T": 2000}
+        else:
+            obj = g.Objective(random_nonseparable(np.random.default_rng(4), 2), g.logistic())
+            grid = np.linspace(0.5, 1.6, 8) * g.minimize(obj).eta_two_lambda
+            kw = {"n_inits": 9, "T": 1200, "pn_group": 1}
+        sweep = g.bifurcation_sweep(obj, grid, seed=5, **kw)
+        assert len(sweep.cells) > 64
+        singles = [c for eta in grid
+                   for c in g.bifurcation_sweep(obj, [eta], seed=5, **kw).cells]
+        assert len(singles) == len(sweep.cells)
+        for got, want in zip(sweep.cells, singles):
+            assert (got.eta, got.init_index, got.diverged) == \
+                (want.eta, want.init_index, want.diverged)
+            assert got.final_losses.tobytes() == want.final_losses.tobytes()
+            assert np.float64(got.scaled_sharpness).tobytes() == \
+                np.float64(want.scaled_sharpness).tobytes()
+            if want.final_pn is None:
+                assert got.final_pn is None
+            else:
+                assert got.final_pn.tobytes() == want.final_pn.tobytes()
+        if case == "diverging-1d":
+            assert 0 < sum(c.diverged for c in sweep.cells) < len(sweep.cells)
 
     def test_divergence_recorded_per_cell(self):
         ds = g.parse_compact("1 1 1\n")  # separable: huge eta walks away

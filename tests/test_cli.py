@@ -215,3 +215,41 @@ class TestUsageErrors:
         assert code == 1
         assert err.startswith("error: ")
         assert not (out_dir / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("group", ["5", "-1"])
+    def test_pn_group_out_of_range_exits_1(self, capsys, tmp_path, group):
+        # toy_n2 has two groups; -1 must not quietly probe the last one
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(
+            capsys, "bifurcate", "--data", str(RECIPES / "toy_n2.cds"),
+            "--eta-min", "6", "--eta-max", "9", "--steps", "2", "--inits", "2",
+            "--iters", "50", "--pn-group", group, "--out", str(out_dir))
+        assert code == 1
+        assert err.startswith("error: ") and "pn_group" in err
+        assert not (out_dir / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--window", "1000", "--iters", "2000"],
+        ["--iters", "100"],
+    ], ids=["window-not-power-of-two", "window-longer-than-tail"])
+    def test_psd_window_errors_exit_1(self, capsys, tmp_path, argv):
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(
+            capsys, "psd", "--data", str(RECIPES / "toy_n2.cds"), "--eta", "1",
+            "--w0", "1", *argv, "--out", str(out_dir))
+        assert code == 1
+        assert err.startswith("error: ") and "window" in err
+        assert not (out_dir / "psd.csv").exists()
+
+    @pytest.mark.parametrize("text", [
+        '{"m": 250, "n": 200, "x_big": 20.0, "b": 6, "gamma": 2.5, "w0": 10.0}',
+        '{"m": 250, "n": 200, "x_big": 20.0, "b": 6, "w0": 10.0}',
+        '{"m": 250, "n": 200,',
+    ], ids=["gamma-out-of-range", "missing-key", "invalid-json"])
+    def test_bad_eos_recipe_exits_1(self, capsys, tmp_path, text):
+        rp = tmp_path / "recipe.json"
+        rp.write_text(text)
+        code, _, err = run_cli(capsys, "eos", "--recipe", str(rp), "--k", "4",
+                               "--out", str(tmp_path / "eos"))
+        assert code == 1
+        assert err.startswith(f"error: recipe {rp}")

@@ -217,3 +217,12 @@ class TestSeparabilityHighD:
         ds = random_nonseparable(rng, d=4)
         v = g.check_separable(ds, perceptron_cap=2000)
         assert v.verdict == "unknown"
+
+    def test_failed_witness_recheck_raises(self, monkeypatch):
+        # the re-check is a raise, not an assert, so python -O keeps it
+        bogus = g.data.SeparabilityVerdict("separable", np.array([1.0, 0.0]), "2d-gap")
+        monkeypatch.setattr(g.data, "_check_2d", lambda pts: bogus)
+        ds = g.parse_compact("1 1 0 1\n1 -1 0 1\n")
+        with pytest.raises(AssertionError, match="witness"):
+            g.check_separable(ds)
+

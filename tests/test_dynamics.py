@@ -49,6 +49,22 @@ class TestGdStep:
             np.testing.assert_allclose(batch[i], g.gd_step(obj, W[i], 0.7),
                                        rtol=1e-14, atol=1e-15)
 
+    def test_step_many_per_row_and_per_layer_eta(self):
+        # an eta column steps each row as a scalar eta steps that row of the
+        # same batch; an (s, 1, 1) eta steps each layer of a stack as its
+        # own batch, bit for bit
+        rng = np.random.default_rng(2)
+        obj = g.Objective(random_nonseparable(rng, 3), g.logistic())
+        W = rng.normal(size=(5, 3))
+        etas = np.array([0.1, 0.7, 1.3, 2.0, 4.5])
+        batch = g.step_many(obj, W, etas[:, None])
+        for i, eta in enumerate(etas):
+            np.testing.assert_array_equal(batch[i], g.step_many(obj, W, eta)[i])
+        stack = rng.normal(size=(4, 5, 3))
+        layers = g.step_many(obj, stack, etas[:4, None, None])
+        for j in range(4):
+            np.testing.assert_array_equal(layers[j], g.step_many(obj, stack[j], etas[j]))
+
 
 class TestRun:
     def test_converges_below_two_over_L(self):
