@@ -24,6 +24,7 @@ __all__ = [
     "CycleReport",
     "detect_cycle",
     "PsdResult",
+    "check_psd_window",
     "psd",
     "SweepCell",
     "BifurcationSweep",
@@ -57,7 +58,7 @@ class CycleReport:
     fixed point, k > 1 for a cycle, 0 when undetermined.  residual is the
     worst relative mismatch between the last two period-windows; multiplier
     is the spectral radius of the Jacobian product along the orbit; lyapunov
-    is the tail estimate of the mean log expansion rate.
+    is the mean log expansion rate over the last ``tail_window`` states.
     """
 
     kind: str
@@ -88,6 +89,10 @@ def detect_cycle(
     before them, sup-norm, relative to 1 + the iterate magnitude.  Scanning k
     upward guarantees minimality: every smaller k, its divisors included, has
     already failed to close the window.
+
+    ``lyapunov`` is estimated over the last ``traj.tail_window`` states of
+    the dense tail, so it does not depend on the recording policy or on how
+    long the transient before that window lasted.
     """
     tail = traj.dense_tail()
     if len(tail) < 2 * k_max:
@@ -103,7 +108,7 @@ def detect_cycle(
             found, residual = k, r
             break
 
-    lyap = _lyapunov_from_states(obj, tail, eta)
+    lyap = _lyapunov_from_states(obj, tail[max(0, len(tail) - traj.tail_window):], eta)
     if found == 0:
         return CycleReport("undetermined", 0, tail[:0], float("nan"), float("nan"), lyap)
 
@@ -132,6 +137,12 @@ class PsdResult:
     power: np.ndarray   # one-sided, sums to the window variance
 
 
+def check_psd_window(window: int) -> None:
+    """Raise ValueError unless ``window`` is a power of two of at least 2."""
+    if window < 2 or (window & (window - 1)) != 0:
+        raise ValueError(f"window must be a power of two, got {window}")
+
+
 def psd(losses: Sequence[float], window: int = 1024) -> PsdResult:
     """Mean-removed one-sided periodogram of the last ``window`` samples.
 
@@ -140,8 +151,7 @@ def psd(losses: Sequence[float], window: int = 1024) -> PsdResult:
     mean-removed window (Parseval).
     """
     losses = np.asarray(losses, dtype=float)
-    if window < 2 or (window & (window - 1)) != 0:
-        raise ValueError(f"window must be a power of two, got {window}")
+    check_psd_window(window)
     if window > len(losses):
         raise ValueError(f"window {window} longer than sequence of {len(losses)}")
     x = losses[-window:]

@@ -34,6 +34,7 @@ from .analysis import (
     LABEL_TO_FIXED_POINT,
     basin_raster,
     bifurcation_sweep,
+    check_psd_window,
     detect_cycle,
     psd,
     psd_to_csv,
@@ -264,11 +265,15 @@ def cmd_trajectory(args) -> int:
 
 
 def cmd_psd(args) -> int:
+    try:
+        check_psd_window(args.window)  # before the run, which may be long
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     obj = _objective(args)
     traj = run(obj, _run_config(args, obj))
     try:
         res = _write_psd(_outdir(args.out), traj, args.window)
-    except ValueError as exc:  # window not a power of two, or longer than the tail
+    except ValueError as exc:  # window longer than the tail
         raise UsageError(str(exc)) from None
     top = int(np.argmax(res.power[1:]) + 1) if len(res.power) > 1 else 0
     print(f"dominant_freq = {format(res.freqs[top], '.17g')}")

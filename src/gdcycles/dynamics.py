@@ -9,6 +9,7 @@ consecutive steps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -107,14 +108,8 @@ class Trajectory:
         return self.iterates.shape[1]
 
     def _dense_from(self) -> int:
-        t = self.times
-        if len(t) < 2:
-            return 0
-        steps = np.diff(t)
-        idx = len(steps)
-        while idx > 0 and steps[idx - 1] == 1:
-            idx -= 1
-        return idx
+        gaps = np.flatnonzero(np.diff(self.times) != 1)
+        return int(gaps[-1]) + 1 if len(gaps) else 0
 
     def dense_tail(self) -> np.ndarray:
         """Longest consecutive-in-t block ending at the last iterate."""
@@ -151,6 +146,10 @@ def run(obj: Objective, cfg: GDConfig, solution: Optional[Solution] = None) -> T
 
     Divergence (sup-norm above 1e12) truncates the run and sets the flag
     instead of raising: step-size sweeps must tolerate diverging cells.
+
+    The loop only steps; it keeps the margins of each recorded iterate, and
+    the losses are evaluated from them after the loop, block by block, each
+    row's loss bit-identical to ``obj.value``.
     """
     eta = resolve_eta(cfg.eta, cfg.gamma, cfg.ref, solution)
     T = cfg.max_iters
@@ -158,47 +157,64 @@ def run(obj: Objective, cfg: GDConfig, solution: Optional[Solution] = None) -> T
     t_all = np.arange(T + 1)
     rec_mask = (t_all % cfg.record_every == 0) | (t_all >= dense_from_t)
     rec_times = t_all[rec_mask]
-    n_rec = len(rec_times)
 
     A = obj._A
+    At = A.T            # a view: a contiguous copy rounds 2-D steps differently
     wts = obj._wts
-    loss = obj.loss
+    d1 = obj.loss.d1
     w = cfg.w0.astype(float).copy()
     if w.shape != (obj.dim,):
         raise ValueError(f"w0 has shape {w.shape}, expected ({obj.dim},)")
 
-    iterates = np.empty((n_rec, obj.dim))
-    losses = np.empty(n_rec)
-    rec_idx = 0
-    next_rec = rec_times[0]
+    iterates = np.empty((len(rec_times), obj.dim))
+    margins = np.empty((len(rec_times), len(A)))
+    rec = rec_mask.tolist()
+    n = 0
     diverged = False
-    for t in range(T + 1):
-        if t == next_rec:
-            z = A @ w
-            iterates[rec_idx] = w
-            losses[rec_idx] = wts @ loss.f(z)
-            rec_idx += 1
-            next_rec = rec_times[rec_idx] if rec_idx < n_rec else -1
-        else:
-            z = A @ w
-        if t == T:
-            break
-        g = A.T @ (wts * loss.d1(z))
-        w = w - eta * g
-        if np.max(np.abs(w)) > DIVERGENCE_NORM:
+    for t in range(T):
+        z = A @ w
+        if rec[t]:
+            iterates[n] = w
+            margins[n] = z
+            n += 1
+        w = w - eta * (At @ (wts * d1(z)))
+        if np.abs(w).max() > DIVERGENCE_NORM:
             diverged = True
             break
+    else:
+        if rec[T]:
+            iterates[n] = w
+            margins[n] = A @ w
+            n += 1
 
     return Trajectory(
-        times=rec_times[:rec_idx],
-        iterates=iterates[:rec_idx],
-        losses=losses[:rec_idx],
+        times=rec_times[:n],
+        iterates=iterates[:n],
+        losses=_losses_from_margins(obj, margins[:n]),
         eta=eta,
         diverged=diverged,
         record_every=cfg.record_every,
         tail_window=cfg.tail_window,
         max_iters=T,
     )
+
+
+# The loss is evaluated over blocks of at most this many margins (128 KiB),
+# so its temporaries stay small however long the run.
+_LOSS_BLOCK_FLOATS = 2**14
+
+
+def _losses_from_margins(obj: Objective, Z: np.ndarray) -> np.ndarray:
+    """The objective at each row of margins.  Each row is summed by its own
+    dot product, as ``obj.value`` does: one matrix-vector product over the
+    block rounds some rows differently."""
+    wts = obj._wts
+    out = np.empty(len(Z))
+    rows = max(1, _LOSS_BLOCK_FLOATS // Z.shape[1])
+    for lo in range(0, len(Z), rows):
+        F = obj.loss.f(Z[lo:lo + rows])
+        out[lo:lo + len(F)] = [wts @ f for f in F]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -270,31 +286,41 @@ def orbit_multiplier(obj: Objective, orbit, eta: float) -> float:
 
 
 def _lyapunov_from_states(obj: Objective, states: np.ndarray, eta: float) -> float:
+    """Mean log expansion rate of the GD map along consecutive states.
+
+    All curvatures come from one ``loss.d2`` call.  In 1D the rate is the
+    mean of log|1 - eta L''(w_t)|; in higher dimensions a unit tangent vector
+    is pushed through the Jacobians I - eta H(w_t) with renormalization
+    (Benettin et al., Meccanica 15, 1980), over Hessians built in one batch.
+    """
     states = np.atleast_2d(states)
-    if obj.dim == 1:
-        d2 = np.array([obj.hessian(w)[0, 0] for w in states])
-        vals = np.abs(1.0 - eta * d2)
-        vals = np.maximum(vals, 1e-300)
-        return float(np.mean(np.log(vals)))
-    v = np.ones(obj.dim) / np.sqrt(obj.dim)
-    acc = 0.0
-    for w in states:
-        v = v - eta * (obj.hessian(w) @ v)
-        s = float(np.linalg.norm(v))
+    A = obj._A
+    G, d = A.shape
+    D = obj.loss.d2(states @ A.T) * obj._wts                 # weighted curvatures, (n, G)
+    H = D @ (A[:, :, None] * A[:, None, :]).reshape(G, d * d)  # Hessians, (n, d*d)
+    if d == 1:
+        return float(np.mean(np.log(np.maximum(np.abs(1.0 - eta * H[:, 0]), 1e-300))))
+    v = np.ones(d) / np.sqrt(d)
+    norms = np.empty(len(H))
+    for i, h in enumerate(H.reshape(-1, d, d)):
+        v = v - eta * (h @ v)
+        s = math.sqrt(v @ v)
         if s == 0.0:
             return -np.inf
-        acc += np.log(s)
+        norms[i] = s
         v /= s
-    return acc / len(states)
+    return float(np.mean(np.log(norms)))
 
 
 def lyapunov(obj: Objective, traj: Trajectory, eta: float, burn_in: int) -> float:
-    """Average log expansion rate along a recorded trajectory.
+    """Average log expansion rate along a recorded trajectory, over every
+    iterate after the first ``burn_in``.
 
-    In 1D this is the mean of log|1 - eta L''(w_t)| after the burn-in; in
-    higher dimensions a unit tangent vector is pushed through the Jacobians
-    with renormalization.  Requires dense recording so consecutive states are
-    available.
+    In 1D this is the mean of log|1 - eta L''(w_t)|; in higher dimensions a
+    unit tangent vector is pushed through the Jacobians with
+    renormalization.  The estimator is the one ``detect_cycle`` applies to
+    the last ``tail_window`` states.  Requires dense recording so
+    consecutive states are available.
     """
     if traj.record_every != 1:
         raise ValueError("lyapunov needs a densely recorded trajectory (record_every=1)")

@@ -54,7 +54,8 @@ def sigmoid(z):
     """1 / (1 + exp(-z)), evaluated from the small side so it never overflows."""
     z = np.asarray(z, dtype=float)
     e = np.exp(-np.abs(z))
-    return _out(np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e)))
+    # 1/(1+e) for z >= 0, e/(1+e) below: pick the numerator, divide once
+    return _out(np.where(z >= 0.0, 1.0, e) / (1.0 + e))
 
 
 def _logistic_eval(z):

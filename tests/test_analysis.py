@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import gdcycles as g
 from gdcycles.analysis import _dedup, sweep_to_csv
 from gdcycles.dynamics import Trajectory
-from conftest import random_nonseparable
+from conftest import RECIPE_P7, RECIPE_P13, random_nonseparable
 
 
 def toy3_objective():
@@ -87,6 +87,41 @@ class TestDetectCycle:
         for i in range(k):
             for j in range(i + 1, k):
                 assert np.max(np.abs(rep.orbit[i] - rep.orbit[j])) > 1e-8
+
+
+class TestDetectCycleRecordingInvariance:
+    """The report depends on the orbit, not on how the run was recorded:
+    every recording policy keeps the same last tail_window states, and the
+    Lyapunov estimate reads only those."""
+
+    T = 10_000
+    K_MAX = g.analysis.DEFAULT_K_MAX
+
+    def report(self, recipe, build, record_every=1, tail_window=2 * K_MAX):
+        ds, eta = build(recipe)
+        obj = g.Objective(ds, g.logistic())
+        traj = g.run(obj, g.GDConfig(w0=np.atleast_1d(recipe.w0), max_iters=self.T, eta=eta,
+                                     record_every=record_every, tail_window=tail_window))
+        return g.detect_cycle(obj, traj, k_max=self.K_MAX)
+
+    @pytest.mark.parametrize("recipe,build,period", [
+        (RECIPE_P7, g.build_1d, 7),
+        (RECIPE_P13, g.build_2d, 13),
+    ], ids=["period7-1d", "period13-2d"])
+    def test_same_report_for_every_recording_policy(self, recipe, build, period):
+        dense = self.report(recipe, build)
+        assert (dense.kind, dense.period) == ("cycle", period)
+        for every in (7, 100):
+            rep = self.report(recipe, build, record_every=every)
+            assert (rep.kind, rep.period) == (dense.kind, dense.period)
+            np.testing.assert_array_equal(rep.orbit, dense.orbit)
+            assert rep.residual == dense.residual
+            assert rep.multiplier == dense.multiplier
+            assert rep.lyapunov == dense.lyapunov
+
+        wider = self.report(recipe, build, tail_window=2 * self.K_MAX + 1000)
+        assert (wider.kind, wider.period) == (dense.kind, dense.period)
+        assert wider.lyapunov == pytest.approx(dense.lyapunov, abs=1e-3)
 
 
 class TestPsd:

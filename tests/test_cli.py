@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import gdcycles as g
+from gdcycles import cli
 from gdcycles.cli import main
 
 RECIPES = Path(__file__).resolve().parents[1] / "src" / "gdcycles" / "recipes"
@@ -240,6 +241,18 @@ class TestUsageErrors:
         assert code == 1
         assert err.startswith("error: ") and "window" in err
         assert not (out_dir / "psd.csv").exists()
+
+    @pytest.mark.parametrize("window", ["1000", "1", "0"])
+    def test_psd_window_rejected_before_the_run(self, capsys, tmp_path, monkeypatch, window):
+        def no_run(*args, **kwargs):
+            raise AssertionError("psd ran GD before checking its window")
+
+        monkeypatch.setattr(cli, "run", no_run)
+        code, _, err = run_cli(
+            capsys, "psd", "--data", str(RECIPES / "toy_n2.cds"), "--eta", "1",
+            "--w0", "1", "--window", window, "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert err == f"error: window must be a power of two, got {window}\n"
 
     @pytest.mark.parametrize("text", [
         '{"m": 250, "n": 200, "x_big": 20.0, "b": 6, "gamma": 2.5, "w0": 10.0}',

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import gdcycles as g
+from gdcycles.dynamics import _LOSS_BLOCK_FLOATS, _lyapunov_from_states
 from conftest import admissible_1d, random_nonseparable
 
 
@@ -14,6 +15,11 @@ def toy3_objective():
     """Full-rank 1D conflict dataset with an asymmetric 2-cycle past 2/lambda
     (= 9 for n=3): the two orbit points carry different losses."""
     return g.Objective(g.make_toy(g.ToySpec(3, [1.0])), g.logistic())
+
+
+# "blocks" runs record more margins than one loss block holds (8 groups:
+# random_nonseparable(rng, d, n_rows=4)).
+_BLOCK_ITERS = _LOSS_BLOCK_FLOATS // 8 + 500
 
 
 class TestGdStep:
@@ -125,6 +131,79 @@ class TestRun:
         with pytest.raises(ValueError, match="w0 must be finite"):
             g.GDConfig(w0=w0, max_iters=10, eta=1.0)
 
+    @pytest.mark.parametrize("loss,d,record_every,iters,gamma", [
+        ("logistic", 1, 1, 3000, 1.05),
+        ("logistic", 2, 37, 3000, 0.9),
+        ("logistic", 4, 1, 3000, 1.2),
+        ("squareplus", 1, 37, 3000, 1.1),
+        ("squareplus", 2, 1, 3000, 0.95),
+        ("squareplus", 4, 37, 3000, 1.3),
+        ("logistic", 2, 1, _BLOCK_ITERS, 1.1),
+        ("squareplus", 4, 1, _BLOCK_ITERS, 0.9),
+    ], ids=["logistic-1d", "logistic-2d-every37", "logistic-4d", "squareplus-1d-every37",
+            "squareplus-2d", "squareplus-4d-every37", "logistic-2d-blocks", "squareplus-4d-blocks"])
+    def test_losses_are_objective_values_bit_for_bit(self, loss, d, record_every, iters, gamma):
+        # run evaluates the recorded losses after the loop, in blocks; every row
+        # must still equal the objective at its iterate exactly
+        rng = np.random.default_rng(d * 10 + record_every)
+        obj = g.Objective(random_nonseparable(rng, d, n_rows=4), g.get_loss(loss))
+        eta = gamma * 2.0 / obj.global_smoothness
+        traj = g.run(obj, g.GDConfig(w0=3.0 * rng.normal(size=d), max_iters=iters, eta=eta,
+                                     record_every=record_every))
+        assert not traj.diverged
+        if iters == _BLOCK_ITERS:
+            assert traj.losses.size * len(obj.ds.counts) > _LOSS_BLOCK_FLOATS
+        values = np.array([obj.value(w) for w in traj.iterates])
+        np.testing.assert_array_equal(traj.losses, values)
+
+    def test_losses_bit_for_bit_when_diverging_midway(self):
+        # a huge step size on this data walks the iterate out over ~400 steps,
+        # stopping partway through the first loss block; the diverged state
+        # is not recorded, and every recorded one keeps its loss
+        obj = g.Objective(g.parse_compact("3 1 -9 -6\n1 1 -7 -4\n4 1 6 4\n"), g.logistic())
+        traj = g.run(obj, g.GDConfig(w0=[0.0, 0.0], max_iters=5000, eta=1e11))
+        assert traj.diverged
+        assert 100 < len(traj.times) < 5000
+        assert np.all(np.abs(traj.iterates) <= 1e12)
+        np.testing.assert_array_equal(traj.times, np.arange(len(traj.times)))
+        values = np.array([obj.value(w) for w in traj.iterates])
+        np.testing.assert_array_equal(traj.losses, values)
+
+
+def _dense_from_by_scan(times):
+    """The dense tail's first row found by walking back over the steps."""
+    steps = np.diff(times)
+    idx = len(steps)
+    while idx > 0 and steps[idx - 1] == 1:
+        idx -= 1
+    return idx
+
+
+class TestDenseTail:
+    @pytest.mark.parametrize("record_every,tail_window,first_dense_t", [
+        (1, 100, 0),        # everything is recorded, so the whole run is dense
+        (7, 100, 901),      # 896 is the last multiple of 7 before 901
+        (100, 100, 900),    # 900 is recorded anyway and adjoins the window
+        (7, 1000, 0),       # the window covers the whole run
+        (100, 5000, 0),
+    ])
+    def test_dense_tail_start(self, record_every, tail_window, first_dense_t):
+        obj = toy3_objective()
+        traj = g.run(obj, g.GDConfig(w0=[1.0], max_iters=1000, eta=1.0,
+                                     record_every=record_every, tail_window=tail_window))
+        start = traj._dense_from()
+        assert start == _dense_from_by_scan(traj.times)
+        assert traj.times[start] == first_dense_t
+        np.testing.assert_array_equal(traj.times[start:], np.arange(first_dense_t, 1001))
+        np.testing.assert_array_equal(traj.dense_tail(), traj.iterates[start:])
+        np.testing.assert_array_equal(traj.dense_tail_losses(), traj.losses[start:])
+
+    def test_single_row(self):
+        traj = g.Trajectory(times=np.array([0]), iterates=np.zeros((1, 1)),
+                            losses=np.zeros(1), eta=1.0, diverged=True, record_every=1,
+                            tail_window=10, max_iters=10)
+        assert traj._dense_from() == 0
+
 
 class TestInvariantRayProperties:
     """w* > 0, eta <= 1/L''(w*): the ray [w*, inf) maps into itself and
@@ -230,6 +309,21 @@ class TestProbabilityRecurrence:
             assert np.max(np.abs(probs - mapped)) < 1e-8
 
 
+def _lyapunov_by_hessian_loop(obj, states, eta):
+    """The Lyapunov estimate one obj.hessian call per state, as first written."""
+    if obj.dim == 1:
+        d2 = np.array([obj.hessian(w)[0, 0] for w in states])
+        return float(np.mean(np.log(np.maximum(np.abs(1.0 - eta * d2), 1e-300))))
+    v = np.ones(obj.dim) / np.sqrt(obj.dim)
+    acc = 0.0
+    for w in states:
+        v = v - eta * (obj.hessian(w) @ v)
+        s = float(np.linalg.norm(v))
+        acc += np.log(s)
+        v /= s
+    return acc / len(states)
+
+
 class TestOrbitDiagnostics:
     def test_single_point_multiplier_1d(self):
         obj = toy3_objective()
@@ -278,6 +372,20 @@ class TestOrbitDiagnostics:
                                      eta=0.9 * sol.eta_two_L))
         lyap = g.lyapunov(obj, traj, traj.eta, burn_in=500)
         assert lyap < 0.0
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_lyapunov_matches_per_state_loop(self, d):
+        # the batched estimate against the per-state Hessian loop it replaced
+        rng = np.random.default_rng(20 + d)
+        obj = g.Objective(random_nonseparable(rng, d), g.logistic())
+        sol = g.minimize(obj)
+        eta = 1.3 * sol.eta_two_lambda
+        traj = g.run(obj, g.GDConfig(w0=sol.w_star + rng.normal(size=d), max_iters=1500,
+                                     eta=eta))
+        for states in (traj.iterates, sol.w_star + 3.0 * rng.normal(size=(700, d))):
+            want = _lyapunov_by_hessian_loop(obj, states, eta)
+            assert abs(want) > 1e-3
+            assert _lyapunov_from_states(obj, states, eta) == pytest.approx(want, rel=1e-12)
 
     def test_lyapunov_needs_dense_recording(self):
         obj = toy3_objective()
