@@ -378,23 +378,30 @@ def _fmt(v) -> str:
     return format(float(v), ".17g")
 
 
+# trajectory_to_csv formats this many rows per % operation, so the Python
+# floats of a block stay small however long the trajectory.
+_CSV_BLOCK_ROWS = 4096
+
+
 def trajectory_to_csv(traj: Trajectory, sharpness: Optional[np.ndarray] = None,
                       include_w: bool = True) -> str:
-    d = traj.dim
+    """One row per recorded iterate: t, loss, optionally w and sharpness.
+    Values are written as ``_fmt`` writes them: '%.17g' % x gives the same
+    text as format(x, '.17g'), -0, nan and inf included."""
     cols = ["t", "loss"]
+    columns = [traj.times, traj.losses]
     if include_w:
-        cols += [f"w_{j + 1}" for j in range(d)]
+        cols += [f"w_{j + 1}" for j in range(traj.dim)]
+        columns.append(traj.iterates)
     if sharpness is not None:
         cols.append("sharpness")
-    lines = [",".join(cols)]
-    for i, t in enumerate(traj.times):
-        row = [str(int(t)), _fmt(traj.losses[i])]
-        if include_w:
-            row += [_fmt(v) for v in traj.iterates[i]]
-        if sharpness is not None:
-            row.append(_fmt(sharpness[i]))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+        columns.append(sharpness)
+    row = "%d" + ",%.17g" * (len(cols) - 1) + "\n"
+    parts = [",".join(cols) + "\n"]
+    for lo in range(0, len(traj.times), _CSV_BLOCK_ROWS):
+        block = np.column_stack([c[lo:lo + _CSV_BLOCK_ROWS] for c in columns])
+        parts.append(row * len(block) % tuple(block.ravel().tolist()))
+    return "".join(parts)
 
 
 def sweep_to_csv(sweep: BifurcationSweep) -> str:

@@ -253,6 +253,7 @@ def cmd_trajectory(args) -> int:
     if traj.diverged:
         print("diverged = 1")
         return EXIT_OK
+    print(f"closed_at = {traj.closed_at}, closed_period = {traj.closed_period}")
     if len(traj.dense_tail()) >= 2 * args.k_max:
         rep = detect_cycle(obj, traj, k_max=args.k_max)
         print(f"kind = {rep.kind}")

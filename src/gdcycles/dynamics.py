@@ -92,6 +92,11 @@ class Trajectory:
     ``times`` holds the iteration index of each recorded row.  The final
     ``tail_window`` iterates are always recorded densely regardless of
     ``record_every``; ``dense_tail()`` returns that consecutive block.
+
+    ``closed_at`` is the iteration t at which ``run`` found w_t equal, byte
+    for byte, to w_{t-p} with p = ``closed_period``: the float orbit is
+    periodic from there on, and every row from t + p on is a copy.  Both are
+    None when no repeat was found within the horizon.
     """
 
     times: np.ndarray
@@ -102,6 +107,8 @@ class Trajectory:
     record_every: int
     tail_window: int
     max_iters: int
+    closed_at: Optional[int] = None
+    closed_period: Optional[int] = None
 
     @property
     def dim(self) -> int:
@@ -150,6 +157,15 @@ def run(obj: Objective, cfg: GDConfig, solution: Optional[Solution] = None) -> T
     The loop only steps; it keeps the margins of each recorded iterate, and
     the losses are evaluated from them after the loop, block by block, each
     row's loss bit-identical to ``obj.value``.
+
+    The map is a pure function of the bits of w, so once an iterate repeats
+    an earlier one byte for byte, the orbit is periodic from there on.  Each
+    iterate is compared with a reference w_r, re-taken whenever t - r reaches
+    a power of two (Brent, BIT 20, 1980).  When w_t repeats w_r, the run
+    records ``closed_at = t`` and ``closed_period = t - r``, steps on for one
+    period keeping those states, and, if that lands on the same bytes again,
+    fills every later recorded row by copying the states of its phase.  The
+    result is the one stepping to ``max_iters`` gives, bit for bit.
     """
     eta = resolve_eta(cfg.eta, cfg.gamma, cfg.ref, solution)
     T = cfg.max_iters
@@ -171,16 +187,35 @@ def run(obj: Objective, cfg: GDConfig, solution: Optional[Solution] = None) -> T
     rec = rec_mask.tolist()
     n = 0
     diverged = False
+    ref, r, span = w.tobytes(), 0, 1      # Brent's reference w_r and its span
+    closed_at = period = cycle = None     # cycle: (w_t, z_t) from closed_at on
     for t in range(T):
         z = A @ w
         if rec[t]:
             iterates[n] = w
             margins[n] = z
             n += 1
+        if cycle is not None:
+            cycle.append((w, z))
         w = w - eta * (At @ (wts * d1(z)))
         if np.abs(w).max() > DIVERGENCE_NORM:
             diverged = True
             break
+        # bytes, not ==, which takes -0.0 for 0.0 (they print differently)
+        if cycle is None:
+            key = w.tobytes()
+            if key == ref:
+                closed_at, period, cycle = t + 1, t + 1 - r, []
+            elif t + 1 - r == span:
+                ref, r, span = key, t + 1, 2 * span
+        elif len(cycle) == period:
+            if w.tobytes() == ref:
+                _fill_periodic(iterates[n:], margins[n:], cycle, rec_times[n:], closed_at)
+                n = len(rec_times)
+                break
+            # the replay left the orbit: copy nothing, search afresh
+            ref, r, span = w.tobytes(), t + 1, 1
+            closed_at = period = cycle = None
     else:
         if rec[T]:
             iterates[n] = w
@@ -196,7 +231,28 @@ def run(obj: Objective, cfg: GDConfig, solution: Optional[Solution] = None) -> T
         record_every=cfg.record_every,
         tail_window=cfg.tail_window,
         max_iters=T,
+        closed_at=closed_at,
+        closed_period=period,
     )
+
+
+# _fill_periodic writes blocks of at most this many rows (128 KiB of phase
+# indices), so its temporaries stay small however long the run.
+_FILL_BLOCK_ROWS = 2**14
+
+
+def _fill_periodic(iterates, margins, cycle, times, start):
+    """Write the rows at ``times`` of an orbit that, from ``start`` on,
+    repeats the (w, z) pairs of ``cycle``: the row at time s is the pair of
+    phase (s - start) mod len(cycle)."""
+    states, zs = (np.array(rows) for rows in zip(*cycle))
+    for lo in range(0, len(times), _FILL_BLOCK_ROWS):
+        hi = lo + _FILL_BLOCK_ROWS
+        phase = (times[lo:hi] - start) % len(cycle)
+        # "clip" is never applied (phase is in range) and, unlike "raise",
+        # writes into ``out`` without a buffer
+        np.take(states, phase, axis=0, out=iterates[lo:hi], mode="clip")
+        np.take(zs, phase, axis=0, out=margins[lo:hi], mode="clip")
 
 
 # The loss is evaluated over blocks of at most this many margins (128 KiB),

@@ -86,15 +86,17 @@ def logistic() -> ScalarLoss:
 def _squareplus_eval(z):
     z = np.asarray(z, dtype=float)
     r = np.sqrt(4.0 + z * z)
-    # 0.5*(r+z) cancels catastrophically for z << 0; use 2/(r-z) there
-    out = np.where(z < 0.0, 2.0 / (r - z), 0.5 * (r + z))
+    # 0.5*(r+z) cancels catastrophically for z << 0; use 2/(r-z) there,
+    # written r+|z| (the same bits for z < 0) so that the branch np.where
+    # discards never divides by r-z = 0 for large positive z
+    out = np.where(z < 0.0, 2.0 / (r + np.abs(z)), 0.5 * (r + z))
     return _out(out)
 
 
 def _squareplus_d1(z):
     z = np.asarray(z, dtype=float)
     r = np.sqrt(4.0 + z * z)
-    out = np.where(z < 0.0, 2.0 / (r - z), 0.5 * (r + z)) / r
+    out = np.where(z < 0.0, 2.0 / (r + np.abs(z)), 0.5 * (r + z)) / r
     return _out(out)
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gdcycles as g
-from gdcycles.analysis import _dedup, sweep_to_csv
+from gdcycles.analysis import _CSV_BLOCK_ROWS, _dedup, sweep_to_csv
 from gdcycles.dynamics import Trajectory
 from conftest import RECIPE_P7, RECIPE_P13, random_nonseparable
 
@@ -352,6 +352,24 @@ class TestSharpnessSeries:
         np.testing.assert_allclose(series, sol.lambda_star, rtol=1e-9)
 
 
+def _trajectory_csv_by_value(traj, sharpness=None, include_w=True):
+    """trajectory_to_csv as first written: one format() call per value."""
+    cols = ["t", "loss"]
+    if include_w:
+        cols += [f"w_{j + 1}" for j in range(traj.dim)]
+    if sharpness is not None:
+        cols.append("sharpness")
+    lines = [",".join(cols)]
+    for i, t in enumerate(traj.times):
+        row = [str(int(t)), format(float(traj.losses[i]), ".17g")]
+        if include_w:
+            row += [format(float(v), ".17g") for v in traj.iterates[i]]
+        if sharpness is not None:
+            row.append(format(float(sharpness[i]), ".17g"))
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
 class TestCsvEmission:
     def test_trajectory_csv_columns(self):
         obj = toy3_objective()
@@ -363,6 +381,34 @@ class TestCsvEmission:
         assert len(lines) == 52
         text2 = g.analysis.trajectory_to_csv(traj, include_w=False)
         assert text2.splitlines()[0] == "t,loss"
+
+    @pytest.mark.parametrize("d,rows,with_sharpness,include_w", [
+        (1, 2 * _CSV_BLOCK_ROWS + 17, True, True),
+        (2, _CSV_BLOCK_ROWS, False, True),
+        (3, _CSV_BLOCK_ROWS + 1, True, False),
+        (1, 1, False, True),
+    ])
+    def test_trajectory_csv_matches_per_value_formatting(self, d, rows, with_sharpness,
+                                                         include_w):
+        # block formatting with one % per block writes the same bytes as
+        # format(x, ".17g") per value, signed zeros and non-finite values too
+        rng = np.random.default_rng(d * rows)
+        special = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -1.7976931348623157e308,
+                   1.0 / 3.0, -1e-300]
+
+        def column(shape):
+            vals = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+            flat = vals.reshape(-1)
+            k = min(len(flat), len(special))
+            flat[rng.permutation(len(flat))[:k]] = special[:k]
+            return vals
+
+        traj = Trajectory(times=np.arange(rows) * 37 + 10**12, iterates=column((rows, d)),
+                          losses=column(rows), eta=1.0, diverged=False, record_every=37,
+                          tail_window=1, max_iters=rows * 37 + 10**12)
+        sharp = column(rows) if with_sharpness else None
+        got = g.analysis.trajectory_to_csv(traj, sharpness=sharp, include_w=include_w)
+        assert got == _trajectory_csv_by_value(traj, sharpness=sharp, include_w=include_w)
 
     def test_psd_csv(self):
         res = g.psd(np.tile([1.0, 2.0], 64), window=128)

@@ -70,6 +70,8 @@ class TestTrajectory:
             "--out", str(out_dir))
         assert code == 0
         assert "period = 4" in out
+        # the float orbit repeats bit for bit at t = 259, four steps after t = 255
+        assert "closed_at = 259, closed_period = 4" in out.splitlines()
         text = (out_dir / "trajectory.csv").read_text()
         assert text.splitlines()[0] == "t,loss,w_1"
         assert (out_dir / "loss.svg").exists()

@@ -1,13 +1,18 @@
 """GD map iteration, trajectories, the probability-space recurrence, and
 orbit stability estimates."""
 
+import functools
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import gdcycles as g
-from gdcycles.dynamics import _LOSS_BLOCK_FLOATS, _lyapunov_from_states
+from gdcycles.cli import _load_recipe
+from gdcycles.dynamics import _LOSS_BLOCK_FLOATS, _losses_from_margins, _lyapunov_from_states
+from gdcycles.losses import ScalarLoss
+from gdcycles.objective import DIVERGENCE_NORM
 from conftest import admissible_1d, random_nonseparable
 
 
@@ -168,6 +173,137 @@ class TestRun:
         np.testing.assert_array_equal(traj.times, np.arange(len(traj.times)))
         values = np.array([obj.value(w) for w in traj.iterates])
         np.testing.assert_array_equal(traj.losses, values)
+
+
+def _run_by_stepping(obj, cfg):
+    """(times, iterates, losses, diverged) of ``run`` as it was before it
+    copied periodic orbits: the loop steps every iteration to the horizon."""
+    T = cfg.max_iters
+    dense_from_t = max(0, T - cfg.tail_window + 1)
+    t_all = np.arange(T + 1)
+    rec_mask = (t_all % cfg.record_every == 0) | (t_all >= dense_from_t)
+    rec_times = t_all[rec_mask]
+    A, At, wts, d1 = obj._A, obj._A.T, obj._wts, obj.loss.d1
+    w = cfg.w0.astype(float).copy()
+    iterates = np.empty((len(rec_times), obj.dim))
+    margins = np.empty((len(rec_times), len(A)))
+    rec = rec_mask.tolist()
+    n = 0
+    diverged = False
+    for t in range(T):
+        z = A @ w
+        if rec[t]:
+            iterates[n] = w
+            margins[n] = z
+            n += 1
+        w = w - cfg.eta * (At @ (wts * d1(z)))
+        if np.abs(w).max() > DIVERGENCE_NORM:
+            diverged = True
+            break
+    else:
+        iterates[n] = w
+        margins[n] = A @ w
+        n += 1
+    return rec_times[:n], iterates[:n], _losses_from_margins(obj, margins[:n]), diverged
+
+
+def _assert_run_is_stepping(obj, cfg, stepping_obj=None):
+    """run(obj, cfg) equals the stepping loop bit for bit (bytes, so -0.0
+    is not 0.0); ``stepping_obj`` gives the loop its own objective."""
+    traj = g.run(obj, cfg)
+    times, iterates, losses, diverged = _run_by_stepping(stepping_obj or obj, cfg)
+    np.testing.assert_array_equal(traj.times, times)
+    assert traj.iterates.shape == iterates.shape
+    assert traj.iterates.tobytes() == iterates.tobytes()
+    assert traj.losses.tobytes() == losses.tobytes()
+    assert traj.diverged == diverged
+    return traj
+
+
+@functools.cache
+def _recipe(name, loss):
+    """Objective, step size and w0 of a checked-in recipe under ``loss``."""
+    obj, spec = _load_recipe(name)
+    obj = g.Objective(obj.ds, g.get_loss(loss))
+    eta = g.resolve_eta(gamma=spec["gamma"], ref=spec["ref"], solution=g.minimize(obj))
+    return obj, eta, spec["w0"]
+
+
+def _perturbed_logistic(call):
+    """The logistic loss with its derivative scaled by 1 + 1e-9 on the
+    ``call``-th evaluation only (counting from 0): an impure map."""
+    base, calls = g.logistic(), itertools.count()
+
+    def d1(z):
+        out = base.d1(z)
+        return out * (1.0 + 1e-9) if next(calls) == call else out
+
+    return ScalarLoss("logistic", base.f, d1, base.d2)
+
+
+class TestPeriodicFill:
+    """run copies the orbit once an iterate repeats bit for bit; every case
+    must equal the loop that steps to the horizon."""
+
+    # (record_every, tail_window): dense; sparse with a tail shorter than
+    # every closure time; every 37th row; sparser than any float period
+    POLICIES = [(1, 4096), (7, 64), (37, 4096), (1000, 64)]
+
+    @pytest.mark.parametrize("loss", ["logistic", "squareplus"])
+    @pytest.mark.parametrize("name", ["period4_1d", "period7_1d", "period37_1d",
+                                      "period13_2d", "chaotic_1d"])
+    def test_matches_stepping_around_closure(self, name, loss):
+        obj, eta, w0 = _recipe(name, loss)
+        first = g.run(obj, g.GDConfig(w0=w0, max_iters=5000, eta=eta))
+        c, p = first.closed_at, first.closed_period
+        if c is None:
+            assert (name, loss) == ("chaotic_1d", "logistic")
+            horizons = [3000]
+        else:
+            horizons = [c - 1, c, c + 1, c + p, c + 2000 + p // 2]
+        for T in horizons:
+            for record_every, tail_window in self.POLICIES:
+                traj = _assert_run_is_stepping(obj, g.GDConfig(
+                    w0=w0, max_iters=T, eta=eta, record_every=record_every,
+                    tail_window=tail_window))
+                closed = (None, None) if c is None or T < c else (c, p)
+                assert (traj.closed_at, traj.closed_period) == closed
+
+    def test_fixed_point_closes_with_period_one(self):
+        obj = toy3_objective()
+        eta = 0.3 * g.minimize(obj).eta_two_lambda
+        for T in (64, 65, 66, 3000):
+            for record_every, tail_window in self.POLICIES:
+                traj = _assert_run_is_stepping(obj, g.GDConfig(
+                    w0=[5.0], max_iters=T, eta=eta, record_every=record_every,
+                    tail_window=tail_window))
+                assert (traj.closed_at, traj.closed_period) == (64, 1)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("loss", ["logistic", "squareplus"])
+    def test_matches_stepping_when_diverging_midway(self, loss):
+        # diverges after ~400 of 5000 steps; squareplus margins pass 1e8 on
+        # the way, where its derivative once divided by zero in the branch
+        # np.where discards
+        obj = g.Objective(g.parse_compact("3 1 -9 -6\n1 1 -7 -4\n4 1 6 4\n"),
+                          g.get_loss(loss))
+        for record_every in (1, 7):
+            traj = _assert_run_is_stepping(obj, g.GDConfig(
+                w0=[0.0, 0.0], max_iters=5000, eta=1e11, record_every=record_every))
+            assert traj.diverged and traj.closed_at is None
+
+    @pytest.mark.parametrize("call", [259, 261, 262])
+    def test_replay_that_leaves_the_orbit_is_not_copied(self, call):
+        # period4_1d closes at t = 259 with period 4, so the replay steps
+        # t = 259..262; perturbing one of those steps makes it miss the
+        # repeated bytes, and run must step on rather than copy
+        obj, eta, w0 = _recipe("period4_1d", "logistic")
+        cfg = g.GDConfig(w0=w0, max_iters=3000, eta=eta, record_every=7, tail_window=64)
+        assert g.run(obj, cfg).closed_at == 259
+        traj = _assert_run_is_stepping(
+            g.Objective(obj.ds, _perturbed_logistic(call)), cfg,
+            stepping_obj=g.Objective(obj.ds, _perturbed_logistic(call)))
+        assert traj.closed_at > 263
 
 
 def _dense_from_by_scan(times):

@@ -32,6 +32,21 @@ class TestExactValues:
         assert sq.f(0.0) == 1.0
         assert sq.d2(0.0) == 0.25
 
+    @pytest.mark.filterwarnings("error")
+    def test_squareplus_large_margins_without_warnings(self):
+        # np.where evaluates both branches; the discarded 2/(r - z) divided by
+        # zero once r == z, past z ~ 1e8.  Written 2/(r + |z|), the kept branch
+        # has the same bits as 2/(r - z).
+        sq = g.squareplus()
+        big = np.geomspace(1e-300, 1e100, 2001)
+        z = np.concatenate([-big[::-1], [-0.0, 0.0], big])
+        with np.errstate(divide="ignore"):
+            r = np.sqrt(4.0 + z * z)
+            value = np.where(z < 0.0, 2.0 / (r - z), 0.5 * (r + z))
+        assert sq.f(z).tobytes() == value.tobytes()
+        assert sq.d1(z).tobytes() == (value / r).tobytes()
+        assert np.all(np.isfinite(sq.d2(z)))
+
     def test_squareplus_left_tail(self):
         sq = g.squareplus()
         # monotone to 0: l'(z) -> 0 and l(z) ~ 1/|z| without cancellation
