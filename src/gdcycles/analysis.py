@@ -16,7 +16,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import Trajectory, _lyapunov_from_states, orbit_multiplier, step_many
+from .dynamics import (
+    Trajectory,
+    _lyapunov_from_states,
+    _state_blocks,
+    orbit_multiplier,
+    step_many,
+)
 from .losses import sigmoid
 from .objective import DIVERGENCE_NORM, Objective, lambda_max
 
@@ -360,14 +366,31 @@ def basin_raster(
 # ---------------------------------------------------------------------------
 
 def sharpness_series(obj: Objective, traj: Trajectory, start: int = 0) -> np.ndarray:
-    """lambda_max of the Hessian at each recorded iterate from ``start`` on."""
+    """lambda_max of the Hessian at each recorded iterate from ``start`` on.
+
+    In 1D this is the closed form L''(w), one vectorized pass over the rows.
+    In higher dimensions each row needs its own Hessian and ``lambda_max``
+    (a power iteration for d >= 3), so on a closed orbit the value is
+    computed once per phase present among the rows, at the first row of that
+    phase, and copied to every later row of the phase whose iterate has the
+    same bytes; any other row gets its own.  The result is the per-row one,
+    bit for bit.
+    """
     W = traj.iterates[start:]
     if obj.dim == 1:
         Z = W @ obj._A.T
         d2 = obj.loss.d2(Z)
         x2 = obj._A[:, 0] ** 2
         return (d2 * obj._wts) @ x2
-    return np.array([lambda_max(obj.hessian(w)) for w in W])
+    out = np.empty(len(W))
+    for lo, hi, src in _state_blocks(traj.times[start:], traj.closed_at, traj.closed_period,
+                                     (W,)):
+        rows = np.arange(lo, hi)
+        own = rows if src is None else rows[src == rows]
+        out[own] = [lambda_max(obj.hessian(w)) for w in W[own]]
+        if src is not None:
+            out[rows] = out[src]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -387,21 +410,46 @@ def trajectory_to_csv(traj: Trajectory, sharpness: Optional[np.ndarray] = None,
                       include_w: bool = True) -> str:
     """One row per recorded iterate: t, loss, optionally w and sharpness.
     Values are written as ``_fmt`` writes them: '%.17g' % x gives the same
-    text as format(x, '.17g'), -0, nan and inf included."""
+    text as format(x, '.17g'), -0, nan and inf included.
+
+    Rows are formatted a block at a time, one % per block.  On a closed
+    orbit the values after t are formatted once per phase, at the first row
+    of that phase, and a later row whose values have the same bytes in every
+    column is written as its t plus that text; any other row is formatted on
+    its own, so the text is the per-row one for any input."""
     cols = ["t", "loss"]
-    columns = [traj.times, traj.losses]
+    columns = [traj.losses]
     if include_w:
         cols += [f"w_{j + 1}" for j in range(traj.dim)]
         columns.append(traj.iterates)
     if sharpness is not None:
         cols.append("sharpness")
-        columns.append(sharpness)
-    row = "%d" + ",%.17g" * (len(cols) - 1) + "\n"
-    parts = [",".join(cols) + "\n"]
-    for lo in range(0, len(traj.times), _CSV_BLOCK_ROWS):
-        block = np.column_stack([c[lo:lo + _CSV_BLOCK_ROWS] for c in columns])
-        parts.append(row * len(block) % tuple(block.ravel().tolist()))
-    return "".join(parts)
+        columns.append(np.asarray(sharpness, dtype=float))
+    values = ",%.17g" * (len(cols) - 1) + "\n"
+    row = "%d" + values
+    # grown in place block by block (CPython resizes a str that nothing else
+    # holds): parts joined at the end would hold the text twice at its peak
+    out = ",".join(cols) + "\n"
+    times = traj.times
+    suffix = {}         # row index -> its formatted values, for rows that others copy
+    for lo, hi, src in _state_blocks(times, traj.closed_at, traj.closed_period, columns,
+                                     rows=_CSV_BLOCK_ROWS):
+        if src is None:
+            block = np.column_stack([times[lo:hi]] + [c[lo:hi] for c in columns])
+            out += row * len(block) % tuple(block.ravel().tolist())
+            continue
+        rows = np.arange(lo, hi)
+        own = rows[src == rows]
+        if len(own):
+            block = np.column_stack([c[own] for c in columns])
+            text = values * len(own) % tuple(block.ravel().tolist())
+            suffix.update(zip(own.tolist(), text.splitlines(keepends=True)))
+        # each row's t and shared text, interleaved for one %
+        args = [None] * (2 * (hi - lo))
+        args[0::2] = times[lo:hi].tolist()
+        args[1::2] = map(suffix.__getitem__, src.tolist())
+        out += "%d%s" * (hi - lo) % tuple(args)
+    return out
 
 
 def sweep_to_csv(sweep: BifurcationSweep) -> str:

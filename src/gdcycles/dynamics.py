@@ -164,8 +164,9 @@ def run(obj: Objective, cfg: GDConfig, solution: Optional[Solution] = None) -> T
     a power of two (Brent, BIT 20, 1980).  When w_t repeats w_r, the run
     records ``closed_at = t`` and ``closed_period = t - r``, steps on for one
     period keeping those states, and, if that lands on the same bytes again,
-    fills every later recorded row by copying the states of its phase.  The
-    result is the one stepping to ``max_iters`` gives, bit for bit.
+    evaluates the loss of each of those p states once and fills every later
+    recorded row by copying the state and loss of its phase.  The result is
+    the one stepping to ``max_iters`` gives, bit for bit.
     """
     eta = resolve_eta(cfg.eta, cfg.gamma, cfg.ref, solution)
     T = cfg.max_iters
@@ -186,6 +187,7 @@ def run(obj: Objective, cfg: GDConfig, solution: Optional[Solution] = None) -> T
     margins = np.empty((len(rec_times), len(A)))
     rec = rec_mask.tolist()
     n = 0
+    stepped = None                        # rows recorded by stepping, if filled
     diverged = False
     ref, r, span = w.tobytes(), 0, 1      # Brent's reference w_r and its span
     closed_at = period = cycle = None     # cycle: (w_t, z_t) from closed_at on
@@ -210,8 +212,7 @@ def run(obj: Objective, cfg: GDConfig, solution: Optional[Solution] = None) -> T
                 ref, r, span = key, t + 1, 2 * span
         elif len(cycle) == period:
             if w.tobytes() == ref:
-                _fill_periodic(iterates[n:], margins[n:], cycle, rec_times[n:], closed_at)
-                n = len(rec_times)
+                stepped, n = n, len(rec_times)
                 break
             # the replay left the orbit: copy nothing, search afresh
             ref, r, span = w.tobytes(), t + 1, 1
@@ -222,10 +223,22 @@ def run(obj: Objective, cfg: GDConfig, solution: Optional[Solution] = None) -> T
             margins[n] = A @ w
             n += 1
 
+    losses = np.empty(n)
+    if stepped is None:
+        _losses_from_margins(obj, margins[:n], out=losses)
+    else:
+        # the filled rows' margins are never read, so only the states and
+        # the losses of the cycle are copied
+        _losses_from_margins(obj, margins[:stepped], out=losses[:stepped])
+        states, zs = (np.array(rows) for rows in zip(*cycle))
+        _fill_periodic(rec_times[stepped:], closed_at,
+                       (iterates[stepped:], states),
+                       (losses[stepped:], _losses_from_margins(obj, zs)))
+
     return Trajectory(
         times=rec_times[:n],
         iterates=iterates[:n],
-        losses=_losses_from_margins(obj, margins[:n]),
+        losses=losses,
         eta=eta,
         diverged=diverged,
         record_every=cfg.record_every,
@@ -236,23 +249,77 @@ def run(obj: Objective, cfg: GDConfig, solution: Optional[Solution] = None) -> T
     )
 
 
-# _fill_periodic writes blocks of at most this many rows (128 KiB of phase
-# indices), so its temporaries stay small however long the run.
-_FILL_BLOCK_ROWS = 2**14
+# The phase work on a closed orbit goes over blocks of at most this many rows
+# (128 KiB of phase indices), so its temporaries stay small however long the
+# run.
+_PHASE_BLOCK_ROWS = 2**14
 
 
-def _fill_periodic(iterates, margins, cycle, times, start):
-    """Write the rows at ``times`` of an orbit that, from ``start`` on,
-    repeats the (w, z) pairs of ``cycle``: the row at time s is the pair of
-    phase (s - start) mod len(cycle)."""
-    states, zs = (np.array(rows) for rows in zip(*cycle))
-    for lo in range(0, len(times), _FILL_BLOCK_ROWS):
-        hi = lo + _FILL_BLOCK_ROWS
-        phase = (times[lo:hi] - start) % len(cycle)
-        # "clip" is never applied (phase is in range) and, unlike "raise",
-        # writes into ``out`` without a buffer
-        np.take(states, phase, axis=0, out=iterates[lo:hi], mode="clip")
-        np.take(zs, phase, axis=0, out=margins[lo:hi], mode="clip")
+def _orbit_phase(times: np.ndarray, closed_at: int, period: int) -> np.ndarray:
+    """The phase (t - closed_at) mod period of each time t on a closed orbit:
+    from ``closed_at`` on, the states at two times of one phase are the same
+    bytes.  Taken from the times, not from row positions, so that it holds
+    for any slice of a trajectory."""
+    return (times - closed_at) % period
+
+
+def _fill_periodic(times, start, *pairs):
+    """Write the rows at ``times`` of an orbit that repeats from ``start``
+    on: for each (out, values) pair, out's row at time s is the row of
+    ``values`` at phase (s - start) mod len(values)."""
+    period = len(pairs[0][1])
+    for lo in range(0, len(times), _PHASE_BLOCK_ROWS):
+        hi = lo + _PHASE_BLOCK_ROWS
+        phase = _orbit_phase(times[lo:hi], start, period)
+        for out, values in pairs:
+            # "clip" is never applied (phase is in range) and, unlike
+            # "raise", writes into ``out`` without a buffer
+            np.take(values, phase, axis=0, out=out[lo:hi], mode="clip")
+
+
+def _state_blocks(times: np.ndarray, closed_at: Optional[int], period: Optional[int],
+                  columns, rows: int = _PHASE_BLOCK_ROWS):
+    """Blocks (lo, hi, src) of at most ``rows`` of the rows at ``times``,
+    which let a per-row consumer of a closed orbit work once per distinct
+    state.
+
+    ``src`` is None for a block whose rows lie before ``closed_at`` (or for
+    every block when nothing closed): each row there is its own state.  From
+    ``closed_at`` on, ``src[i]`` is the index of a row whose bytes in every
+    one of ``columns`` (arrays with one row per time) equal those of row
+    lo + i: the first row of its phase, or lo + i itself when that row is
+    the first of its phase or its bytes differ.  So src[i] <= lo + i, and a
+    consumer evaluates the rows with src[i] == lo + i and copies the rest.
+    """
+    n = len(times)
+    k0 = n if closed_at is None else int(np.searchsorted(times, closed_at))
+    for lo in range(0, k0, rows):
+        yield lo, min(lo + rows, k0), None
+    if k0 == n:
+        return
+    first = np.full(period, -1)             # each phase's first row, or -1
+    for lo in range(k0, n, rows):
+        hi = min(lo + rows, n)
+        idx = np.arange(lo, hi)
+        phase = _orbit_phase(times[lo:hi], closed_at, period)
+        new = first[phase] < 0
+        if new.any():
+            # phases seen here for the first time: np.unique gives the
+            # first row of each
+            fresh, at = np.unique(phase[new], return_index=True)
+            first[fresh] = idx[new][at]
+        src = first[phase]
+        for col in columns:
+            same = np.all(_row_bits(col[lo:hi]) == _row_bits(col[src]), axis=1)
+            src = np.where(same, src, idx)
+        yield lo, hi, src
+
+
+def _row_bits(rows: np.ndarray) -> np.ndarray:
+    """The float64 bit patterns of each row, one row per line: comparing
+    them tells -0.0 from 0.0 and matches a NaN with its own bytes."""
+    rows = np.ascontiguousarray(rows, dtype=float)
+    return rows.view(np.int64).reshape(len(rows), -1)
 
 
 # The loss is evaluated over blocks of at most this many margins (128 KiB),
@@ -260,12 +327,15 @@ def _fill_periodic(iterates, margins, cycle, times, start):
 _LOSS_BLOCK_FLOATS = 2**14
 
 
-def _losses_from_margins(obj: Objective, Z: np.ndarray) -> np.ndarray:
-    """The objective at each row of margins.  Each row is summed by its own
-    dot product, as ``obj.value`` does: one matrix-vector product over the
-    block rounds some rows differently."""
+def _losses_from_margins(obj: Objective, Z: np.ndarray, out: Optional[np.ndarray] = None
+                         ) -> np.ndarray:
+    """The objective at each row of margins, written into ``out`` when
+    given.  Each row is summed by its own dot product, as ``obj.value``
+    does: one matrix-vector product over the block rounds some rows
+    differently."""
     wts = obj._wts
-    out = np.empty(len(Z))
+    if out is None:
+        out = np.empty(len(Z))
     rows = max(1, _LOSS_BLOCK_FLOATS // Z.shape[1])
     for lo in range(0, len(Z), rows):
         F = obj.loss.f(Z[lo:lo + rows])

@@ -83,27 +83,51 @@ def logistic() -> ScalarLoss:
     return ScalarLoss("logistic", _logistic_eval, sigmoid, _logistic_d2)
 
 
-def _squareplus_eval(z):
+# From |z| = 2**28 on, 4 + z*z rounds to z*z, whose square root is |z|
+# exactly in binary64, so r = sqrt(4 + z*z) is |z| there and z*z need not be
+# formed at all: past 1.3e154 it overflows.
+_R_IS_ABS = 2.0**28
+# The largest r whose cube r*r*r is finite in binary64 (about 5.6e102).
+_CUBE_MAX = float.fromhex("0x1.428a2f98d728ap+341")
+
+
+def _squareplus_parts(z):
+    """z as an array, its magnitude a, where a >= 2**28 (``big``), a
+    clipped to that bound (so nothing below overflows) and r = sqrt(4 + z*z)
+    of the clipped value, which is the true r wherever a is not big."""
     z = np.asarray(z, dtype=float)
-    r = np.sqrt(4.0 + z * z)
+    a = np.abs(z)
+    s = np.minimum(a, _R_IS_ABS)
+    return z, a, a >= _R_IS_ABS, s, np.sqrt(4.0 + s * s)
+
+
+def _squareplus_value(z, a, big, s, r):
     # 0.5*(r+z) cancels catastrophically for z << 0; use 2/(r-z) there,
-    # written r+|z| (the same bits for z < 0) so that the branch np.where
-    # discards never divides by r-z = 0 for large positive z
-    out = np.where(z < 0.0, 2.0 / (r + np.abs(z)), 0.5 * (r + z))
-    return _out(out)
+    # written r+|z| (the same bits for z < 0).  Where r = |z| these are 1/|z|
+    # and z, the same bits again, and neither overflows.
+    small = np.where(z < 0.0, 2.0 / (r + s), 0.5 * (r + s))
+    return np.where(big, np.where(z < 0.0, 1.0 / np.maximum(a, _R_IS_ABS), a), small)
+
+
+def _squareplus_eval(z):
+    return _out(_squareplus_value(*_squareplus_parts(z)))
 
 
 def _squareplus_d1(z):
-    z = np.asarray(z, dtype=float)
-    r = np.sqrt(4.0 + z * z)
-    out = np.where(z < 0.0, 2.0 / (r + np.abs(z)), 0.5 * (r + z)) / r
-    return _out(out)
+    z, a, big, s, r = _squareplus_parts(z)
+    # where r = |z|, value/r is (1/|z|)/|z| for z < 0 and 1 for z > 0
+    m = np.maximum(a, _R_IS_ABS)
+    ratio = np.where(z < 0.0, 1.0 / m / m, 1.0)
+    return _out(np.where(big, ratio, _squareplus_value(z, a, big, s, r) / r))
 
 
 def _squareplus_d2(z):
-    z = np.asarray(z, dtype=float)
-    r = np.sqrt(4.0 + z * z)
-    return _out(2.0 / (r * r * r))
+    z, a, big, s, r = _squareplus_parts(z)
+    r = np.where(big, a, r)
+    c = np.minimum(r, _CUBE_MAX)
+    # past _CUBE_MAX, r*r*r overflows: divide by r three times instead
+    m = np.maximum(r, _CUBE_MAX)
+    return _out(np.where(r <= _CUBE_MAX, 2.0 / (c * c * c), 2.0 / m / m / m))
 
 
 def squareplus() -> ScalarLoss:

@@ -65,14 +65,31 @@ def _document(body):
     return head + "\n" + "\n".join(body) + "\n</svg>\n"
 
 
+# Points are formatted this many at a time, one % per block ('%.2f' % x gives
+# the same text as f"{x:.2f}"), so the Python floats of a block stay small
+# however many points there are.
+_POINT_BLOCK = 4096
+
+
+def _format_points(px, py, point: str, sep: str) -> str:
+    """Each (x, y) pair through the two-%.2f template ``point``, joined by
+    ``sep``."""
+    blocks = []
+    for lo in range(0, len(px), _POINT_BLOCK):
+        xy = np.column_stack((px[lo:lo + _POINT_BLOCK], py[lo:lo + _POINT_BLOCK]))
+        blocks.append(sep.join([point] * len(xy)) % tuple(xy.ravel().tolist()))
+    return sep.join(blocks)
+
+
 def scatter_svg(xs, ys, title="", xlabel="", ylabel="", radius=1.2) -> str:
     xs, ys = _finite_pairs(xs, ys)
     if len(xs) == 0:
         xs, ys = np.array([0.0]), np.array([0.0])
     px, py, rng = _project(xs, ys)
     body = _frame(title, xlabel, ylabel, rng)
-    for x, y in zip(px, py):
-        body.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{radius}" fill="black"/>')
+    r = f"{radius}".replace("%", "%%")      # the template is %-formatted
+    circle = f'<circle cx="%.2f" cy="%.2f" r="{r}" fill="black"/>'
+    body.append(_format_points(px, py, circle, "\n"))
     return _document(body)
 
 
@@ -82,6 +99,6 @@ def line_svg(xs, ys, title="", xlabel="", ylabel="") -> str:
         xs, ys = np.array([0.0]), np.array([0.0])
     px, py, rng = _project(xs, ys)
     body = _frame(title, xlabel, ylabel, rng)
-    pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px, py))
+    pts = _format_points(px, py, "%.2f,%.2f", " ")
     body.append(f'<polyline points="{pts}" fill="none" stroke="black" stroke-width="0.8"/>')
     return _document(body)

@@ -9,10 +9,13 @@ or were frozen from them.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
 import gdcycles as g
+from gdcycles.cli import _load_recipe
 
 # ---------------------------------------------------------------------------
 # Oracles
@@ -161,6 +164,54 @@ RECIPE_P13 = g.Recipe2D(500, 30, 5, 1, ((45.0, -70.0), 7), ((7.5, 50.0), 10),
                         0.4, (15.0, 4.0))
 RECIPE_BASIN = g.Recipe2D(160, 30, 5, 1, ((45.0, -70.0), 7), ((7.5, 50.0), 10),
                           0.95, (15.0, 4.0))
+
+
+@functools.cache
+def stacked_period4():
+    """The 4-fold stacked period-4 objective (d = 4), its step size and
+    phase-offset w0, built as ``repro --quick`` builds them.  Its run
+    closes bit for bit at t = 19 with period 4."""
+    ds, eta, w0 = g.eos_demo(RECIPE_P4, 4, iters=60_000)
+    return g.Objective(ds, g.logistic()), eta, w0
+
+
+# A 2D dataset on which a huge step size walks the iterate out to the
+# divergence guard over ~400 steps.
+DIVERGING_2D = "3 1 -9 -6\n1 1 -7 -4\n4 1 6 4\n"
+
+
+def closure_run(name, loss="logistic", record_every=1, tail_window=4096, T=10_000):
+    """Objective and run of a checked-in recipe under ``loss``, of the
+    stacked period-4 objective ("stacked", 2500 iterations: it closes at
+    t = 19, and a short run keeps per-row checks cheap) or of a run that
+    diverges ("diverging"); "<recipe>@open" stops one step before the
+    recipe's orbit closes."""
+    if name == "stacked":
+        obj, eta, w0 = stacked_period4()
+        T = 2_500
+    elif name == "diverging":
+        obj = g.Objective(g.parse_compact(DIVERGING_2D), g.get_loss(loss))
+        eta, w0, T = 1e11, [0.0, 0.0], 5000
+    else:
+        base, spec = _load_recipe(name.split("@")[0])
+        obj = g.Objective(base.ds, g.get_loss(loss))
+        eta = g.resolve_eta(gamma=spec["gamma"], ref=spec["ref"], solution=g.minimize(obj))
+        w0 = spec["w0"]
+        if name.endswith("@open"):
+            T = g.run(obj, g.GDConfig(w0=w0, max_iters=T, eta=eta)).closed_at - 1
+    return obj, g.run(obj, g.GDConfig(w0=w0, max_iters=T, eta=eta, record_every=record_every,
+                                      tail_window=tail_window))
+
+
+def slice_starts(traj):
+    """Row offsets at which to cut ``traj``: the whole run, a row before
+    closed_at and, for a closed run, the first row at closed_at and a row
+    well after it."""
+    n = len(traj.times)
+    if traj.closed_at is None:
+        return [0, n // 2]
+    k0 = int(np.searchsorted(traj.times, traj.closed_at))
+    return sorted({0, k0 // 2, k0, k0 + 1 + (n - k0) // 2})
 
 
 def run_recipe_1d(recipe, iters=120_000):

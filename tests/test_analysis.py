@@ -1,5 +1,6 @@
 """Cycle detection, periodograms, sweeps, basins, and sharpness series."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 import gdcycles as g
 from gdcycles.analysis import _CSV_BLOCK_ROWS, _dedup, sweep_to_csv
 from gdcycles.dynamics import Trajectory
-from conftest import RECIPE_P7, RECIPE_P13, random_nonseparable
+from gdcycles.objective import lambda_max
+from conftest import RECIPE_P7, RECIPE_P13, closure_run, random_nonseparable, slice_starts
 
 
 def toy3_objective():
@@ -415,3 +417,121 @@ class TestCsvEmission:
         text = g.analysis.psd_to_csv(res)
         assert text.splitlines()[0] == "freq,power"
         assert len(text.splitlines()) == 66
+
+
+# ---------------------------------------------------------------------------
+# Consumers of a closed orbit, against the per-row computations
+# ---------------------------------------------------------------------------
+
+def _sharpness_by_row(obj, traj, start=0):
+    """sharpness_series in d >= 2 as first written: one lambda_max per row."""
+    return np.array([lambda_max(obj.hessian(w)) for w in traj.iterates[start:]])
+
+
+def _slices(traj):
+    """``traj`` cut with dataclasses.replace, as _write_eos cuts it, at each
+    of ``slice_starts``."""
+    for start in slice_starts(traj):
+        yield start, dataclasses.replace(traj, times=traj.times[start:],
+                                         iterates=traj.iterates[start:],
+                                         losses=traj.losses[start:])
+
+
+def _distinct_states(traj, start=0):
+    """Rows before closed_at plus the phases present from closed_at on."""
+    times = traj.times[start:]
+    if traj.closed_at is None:
+        return len(times)
+    orbit = times >= traj.closed_at
+    return int(np.sum(~orbit)) + len(np.unique(
+        (times[orbit] - traj.closed_at) % traj.closed_period))
+
+
+# (name, record_every, tail_window) of runs in d >= 2: closed densely, every
+# 37th and every 1000th row, where most phases first appear in the dense
+# tail; one stopped before it closes, and one that diverges
+SHARPNESS_CASES = [
+    ("stacked", 1, 4096),
+    ("stacked", 37, 64),
+    ("stacked", 1000, 64),
+    ("period13_2d", 1, 4096),
+    ("period13_2d", 37, 64),
+    ("period13_2d", 1000, 64),
+    ("period13_2d@open", 1, 4096),
+    ("diverging", 7, 64),
+]
+
+
+class TestClosureAwareConsumers:
+    """sharpness_series and trajectory_to_csv work once per distinct state
+    of a closed orbit; every result must be the per-row one, byte for byte."""
+
+    @pytest.mark.parametrize("name,record_every,tail_window", SHARPNESS_CASES)
+    def test_sharpness_matches_per_row(self, name, record_every, tail_window, monkeypatch):
+        obj, traj = closure_run(name, "logistic", record_every, tail_window)
+        assert obj.dim >= 2
+        calls = []
+
+        def counted(m):
+            calls.append(1)
+            return lambda_max(m)
+
+        by_row = _sharpness_by_row(obj, traj)
+        for start, part in _slices(traj):
+            want = by_row[start:]
+            # on the slice, and through ``start`` on the whole run
+            for args in ((part,), (traj, start)):
+                calls.clear()
+                with monkeypatch.context() as mp:
+                    mp.setattr(g.analysis, "lambda_max", counted)
+                    got = g.sharpness_series(obj, *args)
+                assert got.tobytes() == want.tobytes()
+                assert len(calls) == _distinct_states(part)
+
+    @pytest.mark.parametrize("name,record_every,tail_window", SHARPNESS_CASES + [
+        ("period4_1d", 1, 4096),
+        ("period4_1d", 1000, 64),
+        ("chaotic_1d", 1, 4096),
+    ])
+    def test_csv_matches_per_value_formatting(self, name, record_every, tail_window):
+        obj, traj = closure_run(name, "logistic", record_every, tail_window)
+        for _, part in _slices(traj):
+            sharp = g.sharpness_series(obj, part)
+            for kwargs in ({}, {"sharpness": sharp, "include_w": False}):
+                got = g.analysis.trajectory_to_csv(part, **kwargs)
+                assert got == _trajectory_csv_by_value(part, **kwargs)
+
+    def test_csv_with_a_sharpness_that_is_not_periodic(self):
+        # the caller's column is compared by bytes with its phase's first row
+        # before that row's text is reused
+        obj, traj = closure_run("stacked")
+        k0 = int(np.searchsorted(traj.times, traj.closed_at))
+        periodic = g.sharpness_series(obj, traj)
+        nan1, nan2 = np.array([0x7FF8000000000001, 0x7FF8000000000002]).view(float)
+        broken = periodic.copy()
+        broken[k0::4] = 0.0
+        broken[k0 + 1::4] = nan1
+        broken[[k0 + 40, k0 + 81, k0 + 502]] = -0.0, nan2, np.nextafter(broken[k0 + 502], 1.0)
+        rng = np.random.default_rng(0)
+        for sharp in (periodic, broken, rng.normal(size=len(traj.times)),
+                      list(periodic.astype(np.float32))):
+            for include_w in (True, False):
+                got = g.analysis.trajectory_to_csv(traj, sharpness=sharp, include_w=include_w)
+                assert got == _trajectory_csv_by_value(traj, sharpness=np.asarray(sharp),
+                                                       include_w=include_w)
+
+    def test_claimed_closure_that_does_not_hold(self):
+        # a Trajectory built by hand may claim a closure its rows break
+        rng = np.random.default_rng(1)
+        obj = g.Objective(random_nonseparable(rng, 2), g.logistic())
+        n = 500
+        iterates = np.tile(rng.normal(size=(3, 2)), (n // 3 + 1, 1))[:n]
+        iterates[[100, 250, 251]] += 1e-9
+        traj = Trajectory(times=np.arange(n), iterates=iterates,
+                          losses=np.array([obj.value(w) for w in iterates]), eta=1.0,
+                          diverged=False, record_every=1, tail_window=n, max_iters=n - 1,
+                          closed_at=3, closed_period=3)
+        sharp = g.sharpness_series(obj, traj)
+        assert sharp.tobytes() == _sharpness_by_row(obj, traj).tobytes()
+        got = g.analysis.trajectory_to_csv(traj, sharpness=sharp)
+        assert got == _trajectory_csv_by_value(traj, sharpness=sharp)

@@ -10,10 +10,16 @@ import pytest
 
 import gdcycles as g
 from gdcycles.cli import _load_recipe
-from gdcycles.dynamics import _LOSS_BLOCK_FLOATS, _losses_from_margins, _lyapunov_from_states
+from gdcycles.dynamics import (
+    _LOSS_BLOCK_FLOATS,
+    _PHASE_BLOCK_ROWS,
+    _losses_from_margins,
+    _lyapunov_from_states,
+    _state_blocks,
+)
 from gdcycles.losses import ScalarLoss
 from gdcycles.objective import DIVERGENCE_NORM
-from conftest import admissible_1d, random_nonseparable
+from conftest import admissible_1d, closure_run, random_nonseparable, slice_starts
 
 
 def toy3_objective():
@@ -304,6 +310,115 @@ class TestPeriodicFill:
             g.Objective(obj.ds, _perturbed_logistic(call)), cfg,
             stepping_obj=g.Objective(obj.ds, _perturbed_logistic(call)))
         assert traj.closed_at > 263
+
+
+def _sources_by_scan(times, closed_at, period, columns):
+    """The row _state_blocks links each row to, found by walking the rows:
+    from closed_at on, the first row of the row's phase when every column
+    has the same bytes there, and otherwise the row itself."""
+    first, out = {}, []
+    for i, t in enumerate(times.tolist()):
+        j = i
+        if closed_at is not None and t >= closed_at:
+            j = first.setdefault((t - closed_at) % period, i)
+            if any(np.asarray(c[i]).tobytes() != np.asarray(c[j]).tobytes() for c in columns):
+                j = i
+        out.append(j)
+    return np.array(out)
+
+
+def _sources(times, closed_at, period, columns, **kw):
+    """The row each row is linked to, gathered from _state_blocks."""
+    src = np.empty(len(times), dtype=int)
+    for lo, hi, block in _state_blocks(times, closed_at, period, columns, **kw):
+        if block is None:
+            assert closed_at is None or times[hi - 1] < closed_at
+            block = np.arange(lo, hi)
+        src[lo:hi] = block
+    return src
+
+
+# (name, loss, record_every, tail_window): closed runs recorded densely, every
+# 37th row, and every 1000th row, where most phases first appear in the dense
+# tail; runs that never close and one that diverges
+CLOSURE_CASES = [
+    ("period4_1d", "logistic", 1, 4096),
+    ("period4_1d", "logistic", 37, 4096),
+    ("period4_1d", "logistic", 1000, 64),
+    ("period13_2d", "squareplus", 37, 64),
+    ("period13_2d", "logistic", 1000, 64),
+    ("stacked", "logistic", 1, 4096),
+    ("stacked", "logistic", 1000, 64),
+    ("chaotic_1d", "logistic", 1, 4096),
+    ("chaotic_1d", "squareplus", 37, 64),
+    ("diverging", "logistic", 7, 64),
+]
+
+
+class TestStateBlocks:
+    """Consumers of a closed orbit work once per distinct state by way of
+    _state_blocks; every case is checked against a walk over the rows."""
+
+    @pytest.mark.parametrize("rows", [100, _PHASE_BLOCK_ROWS])
+    @pytest.mark.parametrize("name,loss,record_every,tail_window", CLOSURE_CASES)
+    def test_links_each_row_to_its_phase(self, name, loss, record_every, tail_window, rows):
+        obj, traj = closure_run(name, loss, record_every, tail_window)
+        c, p = traj.closed_at, traj.closed_period
+        assert (c is None) == (name in ("chaotic_1d", "diverging") and loss == "logistic")
+        for start in slice_starts(traj):
+            times = traj.times[start:]
+            columns = [traj.losses[start:], traj.iterates[start:]]
+            src = _sources(times, c, p, columns, rows=rows)
+            np.testing.assert_array_equal(src, _sources_by_scan(times, c, p, columns))
+            for col in columns:
+                assert col[src].tobytes() == col.tobytes()
+            if c is not None:
+                # the copies of a run match, so one row per phase present is
+                # linked to itself
+                orbit = times >= c
+                own = src == np.arange(len(times))
+                assert np.sum(own & orbit) == len(np.unique((times[orbit] - c) % p))
+
+    def test_phases_first_seen_in_the_dense_tail(self):
+        # period4_1d closes at t = 259 with period 4, and 1000 = 0 mod 4: every
+        # sparse row after 259 has the one phase 1, and the other three first
+        # appear in the dense tail
+        _, traj = closure_run("period4_1d", "logistic", 1000, 64)
+        assert (traj.closed_at, traj.closed_period) == (259, 4)
+        src = _sources(traj.times, 259, 4, [traj.iterates])
+        firsts = np.unique(src[traj.times >= 259])
+        assert len(firsts) == 4
+        assert np.sum(firsts >= traj._dense_from()) == 3
+
+    def test_rows_that_break_the_period_are_their_own(self):
+        # the claimed closure is checked against the bytes: from t = 5 the
+        # column repeats (nan, 0.0, 2.0), and a row that differs from its
+        # phase's first row by a NaN payload, a sign of zero or one ulp is
+        # linked to itself
+        nan1, nan2 = np.array([0x7FF8000000000001, 0x7FF8000000000002]).view(float)
+        times = np.arange(20)
+        col = np.array([9.0] * 5 + [nan1, 0.0, 2.0] * 5)
+        col[[11, 12, 16]] = nan2, -0.0, np.nextafter(2.0, 3.0)
+        src = _sources(times, 5, 3, [col], rows=4)
+        np.testing.assert_array_equal(src, _sources_by_scan(times, 5, 3, [col]))
+        np.testing.assert_array_equal(np.flatnonzero(src != times), [8, 9, 10, 13, 14, 15,
+                                                                      17, 18, 19])
+        assert col[src].tobytes() == col.tobytes()
+
+    @pytest.mark.parametrize("name,loss,record_every,tail_window", [
+        ("period4_1d", "logistic", 1, 4096),
+        ("period4_1d", "squareplus", 37, 4096),
+        ("period13_2d", "logistic", 1000, 64),
+        ("stacked", "logistic", 1, 4096),
+        ("stacked", "logistic", 37, 64),
+    ])
+    def test_filled_losses_are_objective_values(self, name, loss, record_every, tail_window):
+        # run evaluates the loss of each cycle state once and copies it by
+        # phase; each row must still be the objective at its iterate
+        obj, traj = closure_run(name, loss, record_every, tail_window)
+        assert traj.closed_at is not None
+        values = np.array([obj.value(w) for w in traj.iterates])
+        assert traj.losses.tobytes() == values.tobytes()
 
 
 def _dense_from_by_scan(times):

@@ -1,6 +1,7 @@
 """Loss values, derivative consistency, and the structural-property audit."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gdcycles as g
-from gdcycles.losses import ScalarLoss
+from gdcycles.losses import _CUBE_MAX, ScalarLoss
 
 
 LOSSES = [g.logistic(), g.squareplus()]
@@ -46,6 +47,50 @@ class TestExactValues:
         assert sq.f(z).tobytes() == value.tobytes()
         assert sq.d1(z).tobytes() == (value / r).tobytes()
         assert np.all(np.isfinite(sq.d2(z)))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("z", [1e103, -1e103, 2e154, -2e154, 1e200, -1e200, 1.7e308,
+                                   -1.7e308, np.nextafter(_CUBE_MAX, np.inf)])
+    def test_squareplus_correct_at_huge_margins(self, z):
+        # past |z| ~ 5.6e102 r*r*r overflows, past ~1.3e154 z*z does; f is
+        # then z or 1/|z|, d1 is 1 or 1/z^2 and d2 is 2/|z|^3 (the 4 under
+        # the root moves them by 1e-205 relative at most), each within two
+        # ulps of the exact quotient, subnormal and zero results included
+        sq = g.squareplus()
+        a = Fraction(abs(z))
+        want = {"f": float(1 / a) if z < 0 else z,
+                "d1": float(1 / a**2) if z < 0 else 1.0,
+                "d2": float(2 / a**3)}
+        for name, fn in (("f", sq.f), ("d1", sq.d1), ("d2", sq.d2)):
+            for got in (fn(z), fn(np.array([z, 1.0]))[0]):
+                assert abs(got - want[name]) <= 2 * math.ulp(want[name]), (name, got)
+
+    @pytest.mark.filterwarnings("error")
+    def test_squareplus_bits_unchanged_where_nothing_overflowed(self):
+        # the formulas as first written are the oracle: wherever they raised
+        # no warning (z*z finite for f and d1, r*r*r finite for d2), the
+        # overflow-safe ones give the same bits
+        def root(z):
+            return np.sqrt(4.0 + z * z)
+
+        def value(z):
+            return np.where(z < 0.0, 2.0 / (root(z) + np.abs(z)), 0.5 * (root(z) + z))
+
+        oracles = {"f": value,
+                   "d1": lambda z: value(z) / root(z),
+                   "d2": lambda z: 2.0 / (root(z) * root(z) * root(z))}
+        sq = g.squareplus()
+        rng = np.random.default_rng(0)
+        for names, top in ((("f", "d1"), math.sqrt(np.finfo(float).max)), (("d2",), _CUBE_MAX)):
+            z = rng.choice([-1.0, 1.0], 10**6) * 10.0 ** rng.uniform(-324, math.log10(top),
+                                                                    10**6)
+            z = np.clip(z, -top, top)
+            z[:9] = [0.0, -0.0, 5e-324, -5e-324, 2.0**28, -2.0**28, np.nextafter(2.0**28, 0.0),
+                     top, -top]
+            for name in names:
+                with np.errstate(over="raise", divide="raise", invalid="raise"):
+                    want = oracles[name](z)
+                assert getattr(sq, name)(z).tobytes() == want.tobytes(), name
 
     def test_squareplus_left_tail(self):
         sq = g.squareplus()
