@@ -18,6 +18,7 @@ import numpy as np
 
 from .dynamics import (
     Trajectory,
+    _final_states,
     _lyapunov_from_states,
     _state_blocks,
     orbit_multiplier,
@@ -314,6 +315,7 @@ class BasinRaster:
     eta: float
     w_star: np.ndarray
     orbit: np.ndarray
+    row_steps: int                # GD row-steps taken, at most nx * ny * T
 
 
 def basin_raster(
@@ -329,11 +331,23 @@ def basin_raster(
     ``refs`` is (w_star, orbit).  After T steps a cell is to_fixed_point if
     the final point lies within 1e-6 * (1 + |w*|) of w*, to_cycle if within
     the same tolerance of any orbit point, and other if neither.
+
+    A cell stops being stepped as soon as its state at T is known exactly:
+    once its bytes repeat, it is written out at the step whose phase matches
+    T and leaves the batch (``dynamics._final_states``).  The batch never
+    shrinks to one row, which numpy multiplies by a path that rounds
+    differently, so every final state is bit for bit the one stepping all
+    cells T times gives.  ``row_steps`` counts the row-steps taken.
     """
     if obj.dim != 2:
         raise ValueError("basin rasterization is defined for d=2 only")
     xmin, xmax, ymin, ymax = (float(v) for v in bounds)
     nx, ny = (int(v) for v in resolution)
+    if nx < 1 or ny < 1 or T < 1:
+        raise ValueError(f"nx, ny and T must be positive, got {nx}, {ny}, {T}")
+    if not (np.isfinite([xmin, xmax, ymin, ymax]).all() and xmin < xmax and ymin < ymax):
+        raise ValueError("bounds must be finite with xmin < xmax and ymin < ymax, "
+                         f"got {(xmin, xmax, ymin, ymax)}")
     w_star, orbit = refs
     w_star = np.asarray(w_star, dtype=float)
     orbit = np.atleast_2d(np.asarray(orbit, dtype=float))
@@ -343,9 +357,7 @@ def basin_raster(
     cx = xmin + (np.arange(nx) + 0.5) * dx
     cy = ymin + (np.arange(ny) + 0.5) * dy
     X, Y = np.meshgrid(cx, cy)               # (ny, nx)
-    W = np.column_stack([X.ravel(), Y.ravel()])
-    for _ in range(T):
-        W = step_many(obj, W, eta)
+    W, row_steps = _final_states(obj, np.column_stack([X.ravel(), Y.ravel()]), eta, T)
 
     tol = 1e-6 * (1.0 + float(np.linalg.norm(w_star)))
     d_star = np.linalg.norm(W - w_star, axis=1)
@@ -357,7 +369,7 @@ def basin_raster(
     labels[d_star < tol] = LABEL_TO_FIXED_POINT
     return BasinRaster(
         (xmin, xmax, ymin, ymax), (nx, ny), labels.reshape(ny, nx),
-        float(eta), w_star, orbit,
+        float(eta), w_star, orbit, row_steps,
     )
 
 

@@ -300,11 +300,15 @@ def cmd_basin(args) -> int:
     if obj.dim != 2:
         raise UsageError("basin rasterization needs a 2-dimensional dataset")
     sol = minimize(obj)
-    rep, raster = _write_basin(
-        _outdir(args.out), obj, _run_config(args, obj, sol), sol,
-        (args.xmin, args.xmax, args.ymin, args.ymax), (args.nx, args.ny),
-        args.basin_iters, gamma=args.gamma)
+    cfg = _run_config(args, obj, sol)
+    try:
+        rep, raster = _write_basin(
+            _outdir(args.out), obj, cfg, sol, (args.xmin, args.xmax, args.ymin, args.ymax),
+            (args.nx, args.ny), args.basin_iters, gamma=args.gamma)
+    except ValueError as exc:  # --nx, --ny, --basin-iters or the bounds out of range
+        raise UsageError(str(exc)) from None
     print(f"cycle_period = {rep.period}")
+    print(f"row_steps = {raster.row_steps}")
     for key, label in (("to_fixed_point", LABEL_TO_FIXED_POINT), ("to_cycle", LABEL_TO_CYCLE),
                        ("other", LABEL_OTHER)):
         print(f"frac_{key} = {np.mean(raster.labels == label):.6f}")

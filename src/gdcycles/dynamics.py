@@ -137,6 +137,64 @@ def step_many(obj: Objective, W: np.ndarray, eta: Union[float, np.ndarray]) -> n
     return W - eta * (P @ obj._A)
 
 
+def _final_states(obj: Objective, W: np.ndarray, eta: float, T: int):
+    """The rows of W, shape (n, d), after T steps of the GD map, each bit for
+    bit what stepping the whole batch T times gives; and the row-steps taken.
+
+    A row leaves the batch once its final state is known.  Each row is
+    checked for a byte repeat as ``run`` checks its iterate (Brent): the
+    rows all start at t = 0, so they share the reference time r and its
+    span, and each keeps its own reference state w_r, compared by its int64
+    bit patterns.  A row whose bytes at time u repeat those of w_r is
+    periodic from r with period p = u - r, so its state at T is the one at
+    u + (T - u) % p; there it is written out and dropped from the batch, and
+    later steps act on fewer rows.
+
+    A row's step does not depend on the other rows of a batch of two or
+    more, but a batch of one row, shape (1, d), goes down another product
+    path that rounds differently.  So the batch never shrinks to one row:
+    when one row would be left, a row already written stays with it,
+    stepped but never read.
+    """
+    W = np.array(W, dtype=float, order="C")   # a copy, with its bits viewed per row
+    out = W.copy()
+    rows = np.arange(len(W))               # each batch row's row in W
+    stop = np.full(len(W), T)              # when each batch row is written
+    open_ = np.ones(len(W), dtype=bool)    # no repeat found yet
+    todo = np.ones(len(W), dtype=bool)     # not written yet
+    ref, r, span = W.view(np.int64).copy(), 0, 1
+    first = T                              # the earliest stop of a row not written
+    row_steps = 0
+    for u in range(1, T + 1):
+        W = step_many(obj, W, eta)
+        row_steps += len(W)
+        bits = W.view(np.int64)
+        hit = open_.copy()
+        for j in range(bits.shape[1]):     # column by column: np.all(axis=1) is slower
+            hit &= bits[:, j] == ref[:, j]
+        if hit.any():
+            stop[hit] = u + (T - u) % (u - r)
+            open_ &= ~hit
+            first = min(first, int(stop[hit].min()))
+        if u - r == span:
+            ref, r, span = bits.copy(), u, 2 * span
+        if u < first:
+            continue
+        done = todo & (stop == u)
+        out[rows[done]] = W[done]
+        todo &= ~done
+        keep = todo.copy()
+        left = np.count_nonzero(keep)
+        if left == 0:
+            break
+        if left == 1:
+            keep[np.argmin(todo)] = True   # a written row rides along
+        W, ref, rows, stop, open_, todo = (
+            a[keep] for a in (W, ref, rows, stop, open_, todo))
+        first = int(stop[todo].min())
+    return out, row_steps
+
+
 def gd_step(obj: Objective, w: np.ndarray, eta: float) -> np.ndarray:
     """One checked step of the GD map: eta must be positive and the step
     finite."""

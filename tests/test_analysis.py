@@ -307,6 +307,35 @@ class TestBasinRaster:
             g.basin_raster(toy3_objective(), 1.0, (-1, 1, -1, 1), (4, 4),
                            (np.zeros(1), np.zeros((1, 1))), T=10)
 
+    @pytest.mark.parametrize("bounds,resolution,T", [
+        ((-1, 1, -1, 1), (0, 4), 10),
+        ((-1, 1, -1, 1), (4, 0), 10),
+        ((-1, 1, -1, 1), (4, 4), 0),
+        ((-1, 1, -1, 1), (4, 4), -5),
+        ((float("nan"), 1, -1, 1), (4, 4), 10),
+        ((-1, float("inf"), -1, 1), (4, 4), 10),
+        ((5, 5, -1, 1), (4, 4), 10),
+        ((-1, 1, 2, -2), (4, 4), 10),
+    ], ids=["nx-0", "ny-0", "T-0", "T-negative", "xmin-nan", "xmax-inf", "empty-x",
+            "y-reversed"])
+    def test_out_of_range_arguments_rejected(self, bounds, resolution, T):
+        obj = g.Objective(g.parse_compact("2 1 1 0\n1 1 -1 0\n1 1 0 1\n1 1 0 -1\n"),
+                          g.logistic())
+        with pytest.raises(ValueError):
+            g.basin_raster(obj, 1.0, bounds, resolution, (np.zeros(2), np.zeros((1, 2))), T=T)
+
+    def test_row_steps_counts_retired_cells(self, basin_cycle):
+        # a cell stepped to T in full costs T row-steps; cells that reach w*
+        # retire early, so the raster takes fewer than nx * ny * T
+        obj, sol, eta, traj, rep = basin_cycle
+        raster = g.basin_raster(obj, eta, (-10, 30, -10, 30), (8, 8),
+                                (sol.w_star, rep.orbit), T=1500)
+        assert np.any(raster.labels == g.analysis.LABEL_TO_FIXED_POINT)
+        assert 0 < raster.row_steps < 8 * 8 * 1500
+        single = g.basin_raster(obj, eta, (-10, 30, -10, 30), (1, 1),
+                                (sol.w_star, rep.orbit), T=7)
+        assert single.row_steps <= 7
+
     def test_cell_at_fixed_point_and_orbit(self, basin_cycle):
         obj, sol, eta, traj, rep = basin_cycle
         assert rep.kind == "cycle"

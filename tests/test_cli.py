@@ -147,9 +147,29 @@ class TestBasin:
             "--out", str(out_dir))
         assert code == 0
         assert "cycle_period = 13" in out
+        row_steps = int(out.split("row_steps = ")[1].split()[0])
+        assert 0 < row_steps <= 12 * 12 * 1500
         pgm = (out_dir / "basin.pgm").read_text()
         assert pgm.startswith("P2\n12 12\n255\n")
         assert (out_dir / "basin_header.txt").exists()
+
+
+    @pytest.mark.parametrize("flags", [
+        ["--nx", "0"],
+        ["--ny", "-3"],
+        ["--basin-iters", "-5"],
+        ["--xmin", "nan"],
+        ["--xmin", "5", "--xmax", "5"],
+    ], ids=["nx-0", "ny-negative", "iters-negative", "xmin-nan", "empty-box"])
+    def test_out_of_range_raster_exits_1(self, capsys, tmp_path, flags):
+        out_dir = tmp_path / "basin"
+        code, _, err = run_cli(
+            capsys, "basin", "--data", str(RECIPES / "basin_2d.cds"),
+            "--gamma", "0.95", "--w0", "15,4", "--iters", "60000",
+            "--basin-iters", "100", *flags, "--out", str(out_dir))
+        assert code == 1
+        assert err.startswith("error: ")
+        assert not (out_dir / "basin.pgm").exists()
 
 
 class TestEos:

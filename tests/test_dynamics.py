@@ -13,6 +13,7 @@ from gdcycles.cli import _load_recipe
 from gdcycles.dynamics import (
     _LOSS_BLOCK_FLOATS,
     _PHASE_BLOCK_ROWS,
+    _final_states,
     _losses_from_margins,
     _lyapunov_from_states,
     _state_blocks,
@@ -310,6 +311,98 @@ class TestPeriodicFill:
             g.Objective(obj.ds, _perturbed_logistic(call)), cfg,
             stepping_obj=g.Objective(obj.ds, _perturbed_logistic(call)))
         assert traj.closed_at > 263
+
+
+def _stepped_batch(obj, W, eta, T):
+    """W after T steps of the whole batch: the loop _final_states replaces."""
+    for _ in range(T):
+        W = g.step_many(obj, W, eta)
+    return W
+
+
+def _assert_final_states_are_stepping(obj, W, eta, T):
+    """_final_states equals stepping the whole batch T times, by int64 bit
+    patterns (so -0.0 is not 0.0 and a NaN must keep its bytes); returns the
+    row-steps it took."""
+    W = np.array(W, dtype=float)
+    out, row_steps = _final_states(obj, W, eta, T)
+    want = _stepped_batch(obj, W, eta, T)
+    np.testing.assert_array_equal(out.view(np.int64), want.view(np.int64))
+    assert row_steps <= len(W) * T
+    return row_steps
+
+
+@functools.cache
+def _closed_orbit(name):
+    """The closed_period states of a recipe's float orbit from closed_at on."""
+    obj, eta, w0 = _recipe(name, "logistic")
+    traj = g.run(obj, g.GDConfig(w0=w0, max_iters=5000, eta=eta))
+    k = int(np.searchsorted(traj.times, traj.closed_at))
+    return traj.iterates[k:k + traj.closed_period]
+
+
+class TestFinalStates:
+    """_final_states stops stepping a row once its state at T is known; every
+    case must equal stepping the whole batch T times, bit for bit."""
+
+    @pytest.mark.parametrize("T", [1, 63, 64, 65, 1500])
+    def test_basin_grid(self, T):
+        # cells reaching w* repeat with period 1 and retire; the others head
+        # for the period-13 cycle and do not repeat within 1500 steps
+        obj, eta, _ = _recipe("basin_2d", "logistic")
+        X, Y = np.meshgrid(np.linspace(-9, 29, 12), np.linspace(-9, 29, 12))
+        W = np.column_stack([X.ravel(), Y.ravel()])
+        steps = _assert_final_states_are_stepping(obj, W, eta, T)
+        if T == 1500:
+            assert steps < len(W) * T
+
+    @pytest.mark.parametrize("T", [56, 57, 58, 70, 82, 83, 84, 1000, 1013])
+    def test_orbit_rows_stop_on_the_phase_of_the_horizon(self, T):
+        # the float orbit of period13_2d has period p = 26; stepped as a
+        # batch its rows repeat Brent's reference of t = 31 at u = 31 + p
+        # and are written at u + (T - u) % p
+        obj, eta, _ = _recipe("period13_2d", "logistic")
+        orbit = _closed_orbit("period13_2d")
+        u, p = 31 + len(orbit), len(orbit)
+        steps = _assert_final_states_are_stepping(obj, orbit, eta, T)
+        assert steps == len(orbit) * (T if T < u else u + (T - u) % p)
+
+    @pytest.mark.parametrize("T", [1, 2, 5, 30])
+    def test_horizon_before_any_closure(self, T):
+        obj, eta, _ = _recipe("period13_2d", "logistic")
+        orbit = _closed_orbit("period13_2d")
+        assert _assert_final_states_are_stepping(obj, orbit, eta, T) == len(orbit) * T
+
+    def test_no_row_closes(self):
+        # chaotic_1d from within 1e-8 of its w0 (starts further apart can
+        # land on a closed float orbit)
+        obj, eta, w0 = _recipe("chaotic_1d", "logistic")
+        W = (w0[0] + 1e-9 * np.arange(8))[:, None]
+        T = 2000
+        assert _assert_final_states_are_stepping(obj, W, eta, T) == len(W) * T
+
+    def test_last_open_row_is_never_stepped_alone(self):
+        # rows started at w* of period13_2d reach a byte-exact fixed point
+        # and retire long before T, while the row from near the recipe's w0
+        # is still on its way into the cycle.  Stepped alone, as a (1, 2)
+        # batch, that row would end on other bits from about one start in
+        # three, so eleven starts are tried.
+        obj, eta, w0 = _recipe("period13_2d", "logistic")
+        T = 2000
+        for shift in np.linspace(-2.0, 3.0, 11):
+            W = np.vstack([np.tile(g.minimize(obj).w_star, (4, 1)), np.add(w0, shift)])
+            steps = _assert_final_states_are_stepping(obj, W, eta, T)
+            assert steps < len(W) * T
+
+    def test_rows_that_overflow(self):
+        # at eta = 1e308 every row overflows to inf, then to NaN, within three
+        # steps; a NaN row repeats its bytes (though NaN != NaN) and retires
+        obj, _, _ = _recipe("basin_2d", "logistic")
+        W = np.random.default_rng(1).uniform(-10, 30, (5, 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for T in (1, 2, 3, 100):
+                steps = _assert_final_states_are_stepping(obj, W, 1e308, T)
+        assert steps == 4 * len(W)
 
 
 def _sources_by_scan(times, closed_at, period, columns):
