@@ -45,6 +45,7 @@ from .data import (
 )
 from .dynamics import (
     GDConfig,
+    StepWork,
     Trajectory,
     gd_step,
     lyapunov,

@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dynamics import (
+    StepWork,
     Trajectory,
     _final_states,
     _lyapunov_from_states,
@@ -38,6 +39,7 @@ __all__ = [
     "DEFAULT_SCALES",
     "bifurcation_sweep",
     "BasinRaster",
+    "check_raster",
     "basin_raster",
     "sharpness_series",
     "trajectory_to_csv",
@@ -274,11 +276,12 @@ def bifurcation_sweep(
         eta_layers = etas[:, None, None]
         shape = (len(etas), n_inits)
         W = np.broadcast_to(inits, shape + (d,))
+        work, W_next = StepWork(obj, W.size // d), np.empty(W.shape)
         alive = np.ones(shape, dtype=bool)
         tail_losses = np.full((tail_steps,) + shape, np.nan)
         tail_pn = np.full((tail_steps,) + shape, np.nan) if pn_row is not None else None
         for t in range(1, T + 1):
-            W = step_many(obj, W, eta_layers)
+            W = step_many(obj, W, eta_layers, work=work, out=W_next)
             with np.errstate(invalid="ignore"):
                 bad = ~(np.max(np.abs(W), axis=2) <= DIVERGENCE_NORM)
             if np.any(bad & alive):
@@ -318,6 +321,20 @@ class BasinRaster:
     row_steps: int                # GD row-steps taken, at most nx * ny * T
 
 
+def check_raster(bounds, resolution, T: int):
+    """The bounds and resolution of a basin raster as floats and ints;
+    raise ValueError unless nx, ny and T are at least 1 and the bounds are
+    finite with xmin < xmax and ymin < ymax."""
+    xmin, xmax, ymin, ymax = (float(v) for v in bounds)
+    nx, ny = (int(v) for v in resolution)
+    if nx < 1 or ny < 1 or T < 1:
+        raise ValueError(f"nx, ny and T must be positive, got {nx}, {ny}, {T}")
+    if not (np.isfinite([xmin, xmax, ymin, ymax]).all() and xmin < xmax and ymin < ymax):
+        raise ValueError("bounds must be finite with xmin < xmax and ymin < ymax, "
+                         f"got {(xmin, xmax, ymin, ymax)}")
+    return (xmin, xmax, ymin, ymax), (nx, ny)
+
+
 def basin_raster(
     obj: Objective,
     eta: float,
@@ -341,13 +358,7 @@ def basin_raster(
     """
     if obj.dim != 2:
         raise ValueError("basin rasterization is defined for d=2 only")
-    xmin, xmax, ymin, ymax = (float(v) for v in bounds)
-    nx, ny = (int(v) for v in resolution)
-    if nx < 1 or ny < 1 or T < 1:
-        raise ValueError(f"nx, ny and T must be positive, got {nx}, {ny}, {T}")
-    if not (np.isfinite([xmin, xmax, ymin, ymax]).all() and xmin < xmax and ymin < ymax):
-        raise ValueError("bounds must be finite with xmin < xmax and ymin < ymax, "
-                         f"got {(xmin, xmax, ymin, ymax)}")
+    (xmin, xmax, ymin, ymax), (nx, ny) = check_raster(bounds, resolution, T)
     w_star, orbit = refs
     w_star = np.asarray(w_star, dtype=float)
     orbit = np.atleast_2d(np.asarray(orbit, dtype=float))

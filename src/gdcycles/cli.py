@@ -35,6 +35,7 @@ from .analysis import (
     basin_raster,
     bifurcation_sweep,
     check_psd_window,
+    check_raster,
     detect_cycle,
     psd,
     psd_to_csv,
@@ -172,6 +173,7 @@ def _write_basin(out: Path, obj: Objective, cfg: GDConfig, sol, bounds, resoluti
     """Run from cfg.w0 into the cycle, then label each raster cell by the
     attractor (w* or that cycle) GD reaches from it in T steps; basin.pgm
     and basin_header.txt.  Returns the cycle report and the raster."""
+    check_raster(bounds, resolution, T)  # before the reference run, which may be long
     traj = run(obj, cfg)
     rep = detect_cycle(obj, traj)
     if rep.kind != "cycle":

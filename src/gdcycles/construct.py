@@ -228,25 +228,29 @@ def hunt_1d(
     Candidates are scanned in lexicographic (b, x_big, m, n) order, each run
     from every w0 in the grid; the first candidate whose run closes into a
     cycle with multiplier < 1 wins, with the witnessing w0 recorded in the
-    returned recipe.
+    returned recipe.  A candidate that cannot be built (out of range,
+    separable, or its minimizer not found) is skipped, and the error that
+    ends a fruitless search says how many were.
     """
     if not (1.0 < gamma <= 2.0):
         raise ValueError("gamma must lie in (1, 2]")
     loss = loss or logistic()
-    tried = 0
+    tried = skipped = 0
     for b in sorted(b_range):
         for x_big in sorted(x_big_range):
             for m in sorted(m_range):
                 for n in sorted(n_range):
                     if tried >= budget:
                         raise ConvergenceError(
-                            f"no cycle found within budget={budget}"
+                            f"no cycle found within budget={budget} "
+                            f"({skipped} candidates skipped)"
                         )
                     tried += 1
                     try:
                         recipe = Recipe1D(m, n, float(x_big), b, gamma, w0=float(w0_grid[0]))
                         ds, eta = build_1d(recipe, loss)
-                    except (ValueError, SeparableDataError):
+                    except (ValueError, SeparableDataError, ConvergenceError):
+                        skipped += 1
                         continue
                     obj = Objective(ds, loss)
                     for w0 in w0_grid:
@@ -255,7 +259,8 @@ def hunt_1d(
                         rep = detect_cycle(obj, run(obj, cfg), tol=tol, k_max=k_max)
                         if rep.kind == "cycle" and rep.multiplier < 1.0:
                             return replace(recipe, w0=float(w0))
-    raise ConvergenceError(f"no cycle found in search space (tried {tried} candidates)")
+    raise ConvergenceError(f"no cycle found in search space (tried {tried} candidates, "
+                           f"{skipped} skipped)")
 
 
 # ---------------------------------------------------------------------------

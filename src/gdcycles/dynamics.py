@@ -23,6 +23,7 @@ __all__ = [
     "Trajectory",
     "resolve_eta",
     "gd_step",
+    "StepWork",
     "step_many",
     "run",
     "probs_from_weights",
@@ -126,15 +127,64 @@ class Trajectory:
         return self.losses[self._dense_from():]
 
 
-def step_many(obj: Objective, W: np.ndarray, eta: Union[float, np.ndarray]) -> np.ndarray:
+class StepWork:
+    """Preallocated buffers for ``step_many`` on up to ``rows`` states of
+    ``obj``: the margins, the loss derivative and its scratch, the group
+    weights repeated per row and the gradient.
+
+    ``step_many`` views the first rows of each buffer in the shape of the
+    batch it steps, and cuts new views only when that shape changes, so a
+    batch that shrinks between steps keeps stepping in the same memory.
+    After a step, ``margins`` holds the margins of the states stepped.
+    """
+
+    def __init__(self, obj: Objective, rows: int):
+        G, d = obj._A.shape
+        self.obj, self.At = obj, obj._A.T
+        # repeated, the weights multiply the derivatives as one flat run of
+        # floats; broadcast along rows of G, numpy loops G at a time
+        self._bufs = (np.empty((rows, G)), np.empty((rows, G)), np.empty((rows, G)),
+                      np.empty((rows, G)), np.empty((rows, d)))
+        self._bufs[3][:] = obj._wts
+        self.shape = None                  # the batch shape of the views below
+
+    def _fit(self, shape: tuple):
+        """Cut the views for a batch of states of shape ``shape`` (W's shape
+        without its last axis)."""
+        n = math.prod(shape)
+        if n > len(self._bufs[0]):
+            raise ValueError(f"a batch of {n} states exceeds the workspace's "
+                             f"{len(self._bufs[0])}")
+        self.margins, self.d1, self.scratch, self.wts, self.grad = (
+            b[:n].reshape(shape + b.shape[1:]) for b in self._bufs)
+        self.shape = shape
+
+
+def step_many(obj: Objective, W: np.ndarray, eta: Union[float, np.ndarray], *,
+              work: Optional[StepWork] = None, out: Optional[np.ndarray] = None) -> np.ndarray:
     """The GD map T(w) = w - eta * grad L(w) applied to each row of W, shape
     (m, d); a 1-D W is a single state, and an (s, m, d) W a stack of s
     batches whose products run layer by layer.  ``eta`` is one step size for
     every row, an (m, 1) column giving each row its own, or an (s, 1, 1)
-    array giving each layer of a stack its own."""
-    Z = W @ obj._A.T                       # margins per row
-    P = obj.loss.d1(Z) * obj._wts
-    return W - eta * (P @ obj._A)
+    array giving each layer of a stack its own.
+
+    Every intermediate is written into ``work``, a StepWork of ``obj`` with
+    room for W's states, built afresh when not given; the new states go
+    into ``out`` (which may be W itself) when given, else into a new array.
+    With both, a step allocates nothing."""
+    shape = W.shape[:-1]
+    if work is None:
+        work = StepWork(obj, math.prod(shape))
+    elif work.obj is not obj:
+        raise ValueError("the workspace was built for another objective")
+    if work.shape != shape:
+        work._fit(shape)
+    Z = np.matmul(W, work.At, out=work.margins)  # margins per row
+    P = obj.loss.d1(Z, out=work.d1, scratch=work.scratch)
+    np.multiply(P, work.wts, out=P)
+    grad = np.matmul(P, obj._A, out=work.grad)
+    np.multiply(eta, grad, out=grad)
+    return np.subtract(W, grad, out=out)
 
 
 def _final_states(obj: Objective, W: np.ndarray, eta: float, T: int):
@@ -165,8 +215,9 @@ def _final_states(obj: Objective, W: np.ndarray, eta: float, T: int):
     ref, r, span = W.view(np.int64).copy(), 0, 1
     first = T                              # the earliest stop of a row not written
     row_steps = 0
+    work = StepWork(obj, len(W))           # re-cut by step_many as the batch shrinks
     for u in range(1, T + 1):
-        W = step_many(obj, W, eta)
+        W = step_many(obj, W, eta, work=work, out=W)
         row_steps += len(W)
         bits = W.view(np.int64)
         hit = open_.copy()
@@ -234,12 +285,12 @@ def run(obj: Objective, cfg: GDConfig, solution: Optional[Solution] = None) -> T
     rec_times = t_all[rec_mask]
 
     A = obj._A
-    At = A.T            # a view: a contiguous copy rounds 2-D steps differently
-    wts = obj._wts
-    d1 = obj.loss.d1
     w = cfg.w0.astype(float).copy()
     if w.shape != (obj.dim,):
         raise ValueError(f"w0 has shape {w.shape}, expected ({obj.dim},)")
+    nxt = np.empty_like(w)                # step_many writes w_{t+1} here
+    work = StepWork(obj, 1)               # and the margins of w_t here
+    step_eta = np.array(eta)              # 0-d: a float is converted on every call
 
     iterates = np.empty((len(rec_times), obj.dim))
     margins = np.empty((len(rec_times), len(A)))
@@ -250,14 +301,14 @@ def run(obj: Objective, cfg: GDConfig, solution: Optional[Solution] = None) -> T
     ref, r, span = w.tobytes(), 0, 1      # Brent's reference w_r and its span
     closed_at = period = cycle = None     # cycle: (w_t, z_t) from closed_at on
     for t in range(T):
-        z = A @ w
+        step_many(obj, w, step_eta, work=work, out=nxt)
         if rec[t]:
             iterates[n] = w
-            margins[n] = z
+            margins[n] = work.margins
             n += 1
         if cycle is not None:
-            cycle.append((w, z))
-        w = w - eta * (At @ (wts * d1(z)))
+            cycle.append((w.copy(), work.margins.copy()))
+        w, nxt = nxt, w
         if np.abs(w).max() > DIVERGENCE_NORM:
             diverged = True
             break

@@ -33,8 +33,16 @@ class ScalarLoss:
     """A scalar loss z -> l(z) with hand-coded first and second derivatives.
 
     All three callables accept floats or numpy arrays and are safe over the
-    whole float64 range (no overflow for large |z|).  Instances are immutable
-    and safe to share between threads.
+    whole float64 range (no overflow for large |z|); called on a scalar they
+    return a float.  Instances are immutable and safe to share between
+    threads.
+
+    ``d1`` also takes ``out`` and ``scratch`` keywords, numpy-style, which
+    is how ``step_many`` calls it: ``d1(z, out=out)`` writes l'(z) into
+    ``out``, a float64 array of z's shape other than z, and returns ``out``,
+    with the bits ``d1(z)`` gives; z is not modified.  ``scratch``, when
+    given, is another float64 array of z's shape whose contents d1 may
+    overwrite instead of allocating a temporary.
     """
 
     name: str
@@ -46,16 +54,30 @@ class ScalarLoss:
         return self.f(z)
 
 
-def _out(arr):
+def _out(arr, out=None):
+    """``arr`` copied into ``out`` when given; else arr, or a float if 0-d."""
+    if out is not None:
+        np.copyto(out, arr)
+        return out
     return float(arr) if arr.ndim == 0 else arr
 
 
-def sigmoid(z):
-    """1 / (1 + exp(-z)), evaluated from the small side so it never overflows."""
-    z = np.asarray(z, dtype=float)
-    e = np.exp(-np.abs(z))
-    # 1/(1+e) for z >= 0, e/(1+e) below: pick the numerator, divide once
-    return _out(np.where(z >= 0.0, 1.0, e) / (1.0 + e))
+def sigmoid(z, out=None, scratch=None):
+    """1 / (1 + exp(-z)), evaluated from the small side so it never overflows.
+
+    With ``out`` and ``scratch`` (see ``ScalarLoss``) it allocates nothing."""
+    if out is None:
+        z = np.asarray(z, dtype=float)
+    e = np.empty(z.shape) if out is None else out
+    num = np.empty(e.shape) if scratch is None else scratch
+    np.exp(np.negative(np.abs(z, out=e), out=e), out=e)
+    # the numerator is 1 for z >= 0 and e below.  As 0 <= e <= 1, and e = 1
+    # at z = +-0, that is max(e, sign(z)), a NaN's bits included: unlike a
+    # boolean mask, sign needs no cast (whose buffer numpy allocates) and
+    # unlike np.putmask, no branch on the data
+    np.maximum(e, np.sign(z, out=num), out=num)
+    np.divide(num, np.add(e, 1.0, out=e), out=e)
+    return e if out is not None else _out(e)
 
 
 def _logistic_eval(z):
@@ -113,12 +135,12 @@ def _squareplus_eval(z):
     return _out(_squareplus_value(*_squareplus_parts(z)))
 
 
-def _squareplus_d1(z):
+def _squareplus_d1(z, out=None, scratch=None):
     z, a, big, s, r = _squareplus_parts(z)
     # where r = |z|, value/r is (1/|z|)/|z| for z < 0 and 1 for z > 0
     m = np.maximum(a, _R_IS_ABS)
     ratio = np.where(z < 0.0, 1.0 / m / m, 1.0)
-    return _out(np.where(big, ratio, _squareplus_value(z, a, big, s, r) / r))
+    return _out(np.where(big, ratio, _squareplus_value(z, a, big, s, r) / r), out)
 
 
 def _squareplus_d2(z):

@@ -172,6 +172,22 @@ class TestBasin:
         assert not (out_dir / "basin.pgm").exists()
 
 
+    @pytest.mark.parametrize("flags", [["--nx", "0"], ["--basin-iters", "0"],
+                                       ["--ymin", "inf"]], ids=["nx-0", "iters-0", "ymin-inf"])
+    def test_bad_raster_rejected_before_the_run(self, capsys, tmp_path, monkeypatch, flags):
+        # from w0 = (1.7, 1.0) GD finds no cycle, which exits 2 once the
+        # reference run is made; a bad grid must exit 1 before it
+        def no_run(*args, **kwargs):
+            raise AssertionError("basin ran GD before checking its grid")
+
+        monkeypatch.setattr(cli, "run", no_run)
+        code, _, err = run_cli(
+            capsys, "basin", "--data", str(RECIPES / "basin_2d.cds"),
+            "--gamma", "0.95", "--w0", "1.7,1.0", *flags, "--out", str(tmp_path / "basin"))
+        assert code == 1
+        assert err.startswith("error: ") and "no cycle" not in err
+
+
 class TestEos:
     def test_stacked_run(self, capsys, tmp_path):
         recipe = {"m": 250, "n": 200, "x_big": 20.0, "b": 6,

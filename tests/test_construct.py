@@ -154,6 +154,34 @@ class TestHunt1D:
         with pytest.raises(ValueError):
             g.hunt_1d(1.0)
 
+    def test_candidate_whose_minimizer_fails_is_skipped(self, monkeypatch):
+        # minimize fails for the b = 5 candidate only; the search goes on
+        # to b = 6, the recipe the pinned search above returns
+        real = g.construct.minimize
+
+        def failing_for_b5(obj, *args, **kwargs):
+            if obj.ds.counts[-1] == 5:
+                raise g.ConvergenceError("Newton did not converge")
+            return real(obj, *args, **kwargs)
+
+        monkeypatch.setattr(g.construct, "minimize", failing_for_b5)
+        rec = g.hunt_1d(1.9, m_range=(250,), n_range=(200,),
+                        x_big_range=(20.0,), b_range=(5, 6))
+        assert (rec.m, rec.n, rec.x_big, rec.b) == (250, 200, 20.0, 6)
+
+    def test_skipped_candidates_are_counted(self, monkeypatch):
+        def failing(obj, *args, **kwargs):
+            raise g.ConvergenceError("Newton did not converge")
+
+        monkeypatch.setattr(g.construct, "minimize", failing)
+        with pytest.raises(g.ConvergenceError,
+                           match=r"no cycle found in search space \(tried 3 candidates, "
+                                 r"3 skipped\)"):
+            g.hunt_1d(1.9, x_big_range=(20.0,), b_range=(4, 5, 6))
+        with pytest.raises(g.ConvergenceError,
+                           match=r"within budget=2 \(2 candidates skipped\)"):
+            g.hunt_1d(1.9, x_big_range=(20.0,), b_range=(4, 5, 6), budget=2)
+
     def test_budget_exhaustion(self):
         with pytest.raises(g.ConvergenceError, match="no cycle found"):
             g.hunt_1d(1.5, x_big_range=(2.0,), b_range=(1,), budget=1,

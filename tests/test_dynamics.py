@@ -4,6 +4,7 @@ orbit stability estimates."""
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,6 +83,120 @@ class TestGdStep:
         layers = g.step_many(obj, stack, etas[:4, None, None])
         for j in range(4):
             np.testing.assert_array_equal(layers[j], g.step_many(obj, stack[j], etas[j]))
+
+
+def _step_written_out(obj, W, eta):
+    """The GD map as one expression over the allocating loss derivative."""
+    A = obj._A
+    return W - eta * ((obj.loss.d1(W @ A.T) * obj._wts) @ A)
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(np.ascontiguousarray(got).view(np.int64),
+                                  np.ascontiguousarray(want).view(np.int64))
+
+
+@functools.cache
+def _basin_objective(loss):
+    """basin_2d (6 groups, d = 2) under ``loss`` and its eta at gamma 0.95."""
+    base, _ = _load_recipe("basin_2d")
+    obj = g.Objective(base.ds, g.get_loss(loss))
+    return obj, g.resolve_eta(gamma=0.95, solution=g.minimize(obj))
+
+
+# 1D states whose margins (w, -w and -2w on _EDGE_DATA) land on zero, on
+# exp's subnormal tail (|z| ~ 745) and past squareplus's switch at 2**28
+_EDGE_DATA = "3 1 -1\n2 1 1\n1 1 2\n"
+_EDGE_STATES = [0.0, -0.0, 5e-324, 372.5, -372.5, 745.0, -745.0, 2.0**27, 2.0**28, -2.0**28,
+                2.0**30, -1e200, 0.5, -3.0]
+
+
+class TestStepWork:
+    """step_many through a workspace is bit for bit the map written out."""
+
+    @pytest.mark.parametrize("loss", ["logistic", "squareplus"])
+    @pytest.mark.parametrize("shape, eta_kind", [
+        ((), "scalar"), ((2,), "scalar"), ((2,), "per-row"), ((4096,), "scalar"),
+        ((4096,), "per-row"), ((3, 5), "scalar"), ((3, 5), "per-layer"),
+        ((1, 4096), "per-layer")], ids=str)
+    def test_matches_the_written_out_map(self, loss, shape, eta_kind):
+        obj, eta = _basin_objective(loss)
+        rng = np.random.default_rng(len(shape) + sum(shape))
+        W = rng.uniform(-10.0, 30.0, shape + (2,))
+        if eta_kind == "per-row":                   # an (m, 1) column
+            eta = eta * rng.uniform(0.5, 1.5, (shape[0], 1))
+        elif eta_kind == "per-layer":               # (s, 1, 1) layers
+            eta = eta * rng.uniform(0.5, 1.5, (shape[0], 1, 1))
+        want = _step_written_out(obj, W, eta)
+        work = g.StepWork(obj, max(1, math.prod(shape)))
+        _assert_same_bits(g.step_many(obj, W, eta, work=work), want)
+        out = np.full_like(W, np.nan)
+        assert g.step_many(obj, W, eta, work=work, out=out) is out
+        _assert_same_bits(out, want)
+        _assert_same_bits(g.step_many(obj, W, eta), want)       # a fresh workspace
+        g.step_many(obj, W, eta, work=work, out=W)              # in place
+        _assert_same_bits(W, want)
+
+    @pytest.mark.parametrize("loss", ["logistic", "squareplus"])
+    def test_one_workspace_over_shrinking_batches(self, loss):
+        obj, eta = _basin_objective(loss)
+        W = np.random.default_rng(5).uniform(-10.0, 30.0, (4096, 2))
+        work = g.StepWork(obj, len(W))
+        for n in (4096, 4000, 1000, 63, 2, 1, 4096, 7):
+            _assert_same_bits(g.step_many(obj, W[:n], eta, work=work),
+                              _step_written_out(obj, W[:n], eta))
+        # a single 1-D state, and a (2, 3) stack, in the same buffers
+        _assert_same_bits(g.step_many(obj, W[9], eta, work=work),
+                          _step_written_out(obj, W[9], eta))
+        stack = W[:6].reshape(2, 3, 2)
+        _assert_same_bits(g.step_many(obj, stack, eta, work=work),
+                          _step_written_out(obj, stack, eta))
+
+    @pytest.mark.parametrize("loss", ["logistic", "squareplus"])
+    def test_edge_margins(self, loss):
+        obj = g.Objective(g.parse_compact(_EDGE_DATA), g.get_loss(loss))
+        states = np.array(_EDGE_STATES)[:, None]
+        Z = states @ obj._A.T
+        # the -0.0 state gives +0.0 margins: BLAS sums from +0.0, so a step
+        # never sees a -0.0 margin (tests/test_losses.py covers d1 there)
+        assert {0.0, 745.0, -745.0, 2.0**28, -2.0**28} <= set(Z.ravel().tolist())
+        work = g.StepWork(obj, len(states))
+        for W in (states, states[:2], states[5]):
+            for eta in (0.25, 3.0):
+                _assert_same_bits(g.step_many(obj, W, eta, work=work),
+                                  _step_written_out(obj, W, eta))
+                _assert_same_bits(work.margins, W @ obj._A.T)
+
+    def test_workspace_checks(self):
+        obj, eta = _basin_objective("logistic")
+        other = g.Objective(obj.ds, g.logistic())
+        W = np.zeros((4, 2))
+        with pytest.raises(ValueError, match="another objective"):
+            g.step_many(other, W, eta, work=g.StepWork(obj, 4))
+        with pytest.raises(ValueError, match="exceeds"):
+            g.step_many(obj, W, eta, work=g.StepWork(obj, 3))
+
+    def test_a_workspace_step_allocates_nothing(self):
+        # numpy reports its data buffers to tracemalloc: 50 steps of a
+        # 4096-row basin_2d batch peak at about 1 MiB without a workspace,
+        # and at a few hundred bytes of Python objects with one
+        obj, eta = _basin_objective("logistic")
+        W = np.random.default_rng(6).uniform(-10.0, 30.0, (4096, 2))
+        work = g.StepWork(obj, len(W))
+
+        def peak(step):
+            step()                                              # cut the views once
+            tracemalloc.start()
+            try:
+                for _ in range(50):
+                    step()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(lambda: g.step_many(obj, W, eta)) > 512 * 1024
+        assert peak(lambda: g.step_many(obj, W, eta, work=work, out=W)) < 64 * 1024
 
 
 class TestRun:
@@ -241,9 +356,11 @@ def _perturbed_logistic(call):
     ``call``-th evaluation only (counting from 0): an impure map."""
     base, calls = g.logistic(), itertools.count()
 
-    def d1(z):
-        out = base.d1(z)
-        return out * (1.0 + 1e-9) if next(calls) == call else out
+    def d1(z, out=None, scratch=None):
+        out = base.d1(z, out=out, scratch=scratch)
+        if next(calls) == call:
+            out *= 1.0 + 1e-9
+        return out
 
     return ScalarLoss("logistic", base.f, d1, base.d2)
 

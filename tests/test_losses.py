@@ -108,6 +108,52 @@ class TestExactValues:
                     assert fn(float(z)) == v
 
 
+# margins at the edges of both losses: signed zeros, the subnormal tails of
+# exp (|z| ~ 745), squareplus's switch to r = |z| at 2**28, infinities, NaN
+_EDGE_MARGINS = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-17, -1e-17, 0.5, -0.5, 30.0, -30.0,
+                          708.0, -708.0, 745.0, -745.0, 746.0, -746.0,
+                          np.nextafter(2.0**28, 0.0), 2.0**28, -2.0**28, 2.0**29, -2.0**29,
+                          1e200, -1e200, np.inf, -np.inf, np.nan])
+
+
+class TestD1Out:
+    """``d1(z, out=..., scratch=...)`` writes into ``out`` and returns it,
+    with the bits of the allocating call."""
+
+    @pytest.mark.parametrize("loss", LOSSES, ids=lambda lo: lo.name)
+    @pytest.mark.parametrize("shape", [(26,), (13, 2), (2, 13, 1)], ids=str)
+    def test_out_holds_the_bits_of_the_allocating_call(self, loss, shape):
+        z = _EDGE_MARGINS.reshape(shape)
+        kept = z.copy()
+        want = loss.d1(z)
+        out = np.full(shape, 7.0)
+        assert loss.d1(z, out=out) is out
+        assert out.tobytes() == want.tobytes()
+        out = np.full(shape, 7.0)
+        assert loss.d1(z, out=out, scratch=np.full(shape, 3.0)) is out
+        assert out.tobytes() == want.tobytes()
+        assert z.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("loss", LOSSES, ids=lambda lo: lo.name)
+    def test_scalar_input_returns_a_float(self, loss):
+        for z in _EDGE_MARGINS.tolist():
+            got = loss.d1(z)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == loss.d1(np.array([z]))[:1].tobytes()
+
+    def test_sigmoid_is_the_formula_from_the_small_side(self):
+        # the numerator as max(e, sign(z)) gives the bits of picking it
+        # with np.where, NaN and the signed zeros included
+        rng = np.random.default_rng(0)
+        z = np.concatenate([_EDGE_MARGINS, rng.normal(0.0, 40.0, 10**5),
+                            rng.choice([-1.0, 1.0], 10**5) * 10.0 ** rng.uniform(-320, 308, 10**5)])
+        e = np.exp(-np.abs(z))
+        want = np.where(z >= 0.0, 1.0, e) / (1.0 + e)
+        assert g.losses.sigmoid(z).tobytes() == want.tobytes()
+        out = np.empty_like(z)
+        assert g.losses.sigmoid(z, out=out).tobytes() == want.tobytes()
+
+
 class TestDerivativeConsistency:
     """d1 and d2 agree with central differences of f and d1.
 
