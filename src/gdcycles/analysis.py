@@ -26,7 +26,7 @@ from .dynamics import (
     step_many,
 )
 from .losses import sigmoid
-from .objective import DIVERGENCE_NORM, Objective, lambda_max
+from .objective import Objective, diverged, lambda_max
 
 __all__ = [
     "CycleReport",
@@ -215,9 +215,32 @@ def _dedup(values: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
     return np.array(out)
 
 
-# A sweep block's two tail buffers hold at most this many floats each (512
+# A sweep's transient stack holds at most this many floats in each buffer of
+# its StepWork, and a tail block's two buffers at most this many each (512
 # KiB), so the sweep's memory does not grow with the grid.
 _SWEEP_BLOCK_FLOATS = 2**16
+
+
+def _sweep_steps(obj: Objective, W: np.ndarray, eta_layers: np.ndarray, work: StepWork,
+                 alive: np.ndarray, steps: int):
+    """Step the (etas, n_inits, d) stack W in place ``steps`` times,
+    yielding after each step.
+
+    A cell whose state trips the divergence guard is cleared in ``alive``,
+    shape (etas, n_inits), and its state zeroed after that and every later
+    step.  The guard runs once over the whole stack; the per-cell mask is
+    built only on a step where it fires."""
+    dead = ~alive
+    frozen = bool(dead.any())
+    for _ in range(steps):
+        step_many(obj, W, eta_layers, work=work, out=W)
+        if diverged(W):
+            alive &= ~diverged(W, axis=-1)
+            np.logical_not(alive, out=dead)
+            frozen = True
+        if frozen:
+            W[dead] = 0.0  # frozen; excluded from reporting
+        yield
 
 
 def bifurcation_sweep(
@@ -235,15 +258,23 @@ def bifurcation_sweep(
 
     Initializations are scale * standard-normal draws, the scales cycled
     across init indices, all deterministic from ``seed`` and shared across
-    step sizes.  Divergence is recorded per cell, never raised.
+    step sizes.  Divergence is recorded per cell, never raised.  The step
+    sizes must be positive, finite and strictly ascending.
 
-    The pairs are stepped together in blocks of consecutive step sizes, each
-    block an (etas, n_inits, d) stack with one step size per layer, sized so
-    that each tail buffer holds at most 2**16 values, or one step size's
-    n_inits * min(tail, T) when that is more.  Every matrix product then
-    runs on the same (n_inits, d) layers as a one-step-size sweep, so a cell
-    does not depend on the grid around it: BLAS may round a row differently
-    by its position in a product.
+    The pairs are stepped as (etas, n_inits, d) stacks with one step size
+    per layer, in two phases that share one step loop:
+
+    - the transient, steps 1 .. T - tail, records nothing, so it steps as
+      many step sizes at once as fit 2**16 floats in each buffer of one
+      StepWork (at least one step size);
+    - the tail, the last min(tail, T) steps, steps each transient stack in
+      blocks of consecutive step sizes whose two tail buffers hold at most
+      2**16 values each, or one step size's n_inits * min(tail, T) when
+      that is more.
+
+    Every matrix product runs on the same (n_inits, d) layers as a
+    one-step-size sweep, so a cell does not depend on the grid around it:
+    BLAS may round a row differently by its position in a product.
 
     ``pn_group`` optionally also records the distinct tail values of the
     probability p = sigma(-y_g w.x_g) for one dataset group; loss and
@@ -251,6 +282,8 @@ def bifurcation_sweep(
     produce identical losses), and this probe is how those are made visible.
     """
     eta_grid = np.asarray(eta_grid, dtype=float)
+    if not np.all(np.isfinite(eta_grid) & (eta_grid > 0.0)):
+        raise ValueError(f"step sizes must be positive and finite, got {eta_grid}")
     if np.any(np.diff(eta_grid) <= 0.0):
         raise ValueError("eta_grid must be strictly ascending")
     if n_inits < 1 or T < 1 or tail < 1:
@@ -265,44 +298,45 @@ def bifurcation_sweep(
     inits = rng.standard_normal((n_inits, d)) * scale_arr[:, None]
     tail_steps = min(tail, T)
     etas_per_block = max(1, _SWEEP_BLOCK_FLOATS // (tail_steps * n_inits))
+    etas_per_stack = max(1, _SWEEP_BLOCK_FLOATS // (max(len(A), d) * n_inits))
+    if etas_per_stack > etas_per_block:
+        # whole tail blocks per stack, so only the grid's last block is short
+        etas_per_stack -= etas_per_stack % etas_per_block
 
     wts = obj._wts
     loss = obj.loss
     pn_row = None if pn_group is None else A[pn_group]
 
     cells = []
-    for lo in range(0, len(eta_grid), etas_per_block):
-        etas = eta_grid[lo:lo + etas_per_block]
-        eta_layers = etas[:, None, None]
-        shape = (len(etas), n_inits)
-        W = np.broadcast_to(inits, shape + (d,))
-        work, W_next = StepWork(obj, W.size // d), np.empty(W.shape)
-        alive = np.ones(shape, dtype=bool)
-        tail_losses = np.full((tail_steps,) + shape, np.nan)
-        tail_pn = np.full((tail_steps,) + shape, np.nan) if pn_row is not None else None
-        for t in range(1, T + 1):
-            W = step_many(obj, W, eta_layers, work=work, out=W_next)
-            with np.errstate(invalid="ignore"):
-                bad = ~(np.max(np.abs(W), axis=2) <= DIVERGENCE_NORM)
-            if np.any(bad & alive):
-                alive &= ~bad
-            if not np.all(alive):
-                W[~alive] = 0.0  # frozen; excluded from reporting
-            k = t - (T - tail_steps)
-            if k >= 1:
-                tail_losses[k - 1] = loss.f(W @ A.T) @ wts
+    for s_lo in range(0, len(eta_grid), etas_per_stack):
+        stack_etas = eta_grid[s_lo:s_lo + etas_per_stack]
+        shape = (len(stack_etas), n_inits)
+        W_stack = np.broadcast_to(inits, shape + (d,)).copy()
+        work = StepWork(obj, W_stack.size // d)
+        alive_stack = np.ones(shape, dtype=bool)
+        for _ in _sweep_steps(obj, W_stack, stack_etas[:, None, None], work, alive_stack,
+                              T - tail_steps):
+            pass
+        for lo in range(0, len(stack_etas), etas_per_block):
+            etas = stack_etas[lo:lo + etas_per_block]
+            W, alive = W_stack[lo:lo + len(etas)], alive_stack[lo:lo + len(etas)]
+            tail_losses = np.empty((tail_steps,) + alive.shape)
+            tail_pn = np.empty((tail_steps,) + alive.shape) if pn_row is not None else None
+            for k, _ in enumerate(_sweep_steps(obj, W, etas[:, None, None], work, alive,
+                                               tail_steps)):
+                tail_losses[k] = loss.f(W @ A.T) @ wts
                 if tail_pn is not None:
-                    tail_pn[k - 1] = sigmoid(W @ pn_row)
-        for j, eta in enumerate(etas.tolist()):
-            for i in range(n_inits):
-                if not alive[j, i]:
-                    cells.append(SweepCell(eta, i, np.array([]), float("nan"), True,
-                                           np.array([]) if pn_row is not None else None))
-                    continue
-                fl = _dedup(tail_losses[:, j, i])
-                sharp = eta * lambda_max(obj.hessian(W[j, i])) / 2.0
-                fp = _dedup(tail_pn[:, j, i]) if tail_pn is not None else None
-                cells.append(SweepCell(eta, i, fl, sharp, False, fp))
+                    tail_pn[k] = sigmoid(W @ pn_row)
+            for j, eta in enumerate(etas.tolist()):
+                for i in range(n_inits):
+                    if not alive[j, i]:
+                        cells.append(SweepCell(eta, i, np.array([]), float("nan"), True,
+                                               np.array([]) if pn_row is not None else None))
+                        continue
+                    fl = _dedup(tail_losses[:, j, i])
+                    sharp = eta * lambda_max(obj.hessian(W[j, i])) / 2.0
+                    fp = _dedup(tail_pn[:, j, i]) if tail_pn is not None else None
+                    cells.append(SweepCell(eta, i, fl, sharp, False, fp))
     return BifurcationSweep(eta_grid, tuple(cells), seed, tuple(scales), n_inits)
 
 

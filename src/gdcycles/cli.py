@@ -291,7 +291,7 @@ def cmd_bifurcate(args) -> int:
         grid = np.linspace(args.eta_min, args.eta_max, args.steps)
         sweep = _write_sweep(_outdir(args.out), obj, grid, args.inits, args.iters, args.seed,
                              args.pn_group)
-    except ValueError as exc:  # --steps, --inits, --iters or --pn-group out of range
+    except ValueError as exc:  # the step sizes, --steps, --inits, --iters or --pn-group
         raise UsageError(str(exc)) from None
     print(f"cells = {len(sweep.cells)}")
     return EXIT_OK

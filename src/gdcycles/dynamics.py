@@ -16,7 +16,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .losses import sigmoid
-from .objective import DIVERGENCE_NORM, Objective, Solution
+from .objective import Objective, Solution, diverged
 
 __all__ = [
     "GDConfig",
@@ -247,11 +247,9 @@ def _final_states(obj: Objective, W: np.ndarray, eta: float, T: int):
 
 
 def gd_step(obj: Objective, w: np.ndarray, eta: float) -> np.ndarray:
-    """One checked step of the GD map: eta must be positive and the step
-    finite."""
-    if eta <= 0.0:
-        raise ValueError("eta must be positive")
-    out = step_many(obj, np.asarray(w, dtype=float), eta)
+    """One checked step of the GD map: eta must be positive and finite (as
+    ``resolve_eta`` checks it) and the step finite."""
+    out = step_many(obj, np.asarray(w, dtype=float), resolve_eta(eta))
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("non-finite GD step")
     return out
@@ -260,8 +258,9 @@ def gd_step(obj: Objective, w: np.ndarray, eta: float) -> np.ndarray:
 def run(obj: Objective, cfg: GDConfig, solution: Optional[Solution] = None) -> Trajectory:
     """Iterate the GD map for cfg.max_iters steps, recording per the config.
 
-    Divergence (sup-norm above 1e12) truncates the run and sets the flag
-    instead of raising: step-size sweeps must tolerate diverging cells.
+    Divergence (``objective.diverged``: sup-norm above 1e12, or NaN)
+    truncates the run and sets the flag instead of raising: step-size
+    sweeps must tolerate diverging cells.
 
     The loop only steps; it keeps the margins of each recorded iterate, and
     the losses are evaluated from them after the loop, block by block, each
@@ -297,7 +296,7 @@ def run(obj: Objective, cfg: GDConfig, solution: Optional[Solution] = None) -> T
     rec = rec_mask.tolist()
     n = 0
     stepped = None                        # rows recorded by stepping, if filled
-    diverged = False
+    escaped = False                       # the divergence guard stopped the run
     ref, r, span = w.tobytes(), 0, 1      # Brent's reference w_r and its span
     closed_at = period = cycle = None     # cycle: (w_t, z_t) from closed_at on
     for t in range(T):
@@ -309,8 +308,8 @@ def run(obj: Objective, cfg: GDConfig, solution: Optional[Solution] = None) -> T
         if cycle is not None:
             cycle.append((w.copy(), work.margins.copy()))
         w, nxt = nxt, w
-        if np.abs(w).max() > DIVERGENCE_NORM:
-            diverged = True
+        if diverged(w):
+            escaped = True
             break
         # bytes, not ==, which takes -0.0 for 0.0 (they print differently)
         if cycle is None:
@@ -349,7 +348,7 @@ def run(obj: Objective, cfg: GDConfig, solution: Optional[Solution] = None) -> T
         iterates=iterates[:n],
         losses=losses,
         eta=eta,
-        diverged=diverged,
+        diverged=escaped,
         record_every=cfg.record_every,
         tail_window=cfg.tail_window,
         max_iters=T,

@@ -24,10 +24,23 @@ from .exceptions import (
 )
 from .losses import ScalarLoss
 
-__all__ = ["Objective", "Solution", "lambda_max", "minimize"]
+__all__ = ["Objective", "Solution", "diverged", "lambda_max", "minimize"]
 
 # sup-norm past which an iterate counts as diverged
 DIVERGENCE_NORM = 1e12
+
+
+def diverged(w: np.ndarray, axis=None):
+    """The divergence guard: whether the sup-norm of w exceeds
+    DIVERGENCE_NORM or is NaN.  One Python bool over all of w by default;
+    with ``axis``, a bool array with one per slice along it (axis=-1: one
+    per state of a batch).
+
+    One ``np.abs`` and one ``np.maximum.reduce``, which propagates NaN, so a
+    NaN coordinate counts as diverged."""
+    within = np.maximum.reduce(np.abs(w), axis=axis) <= DIVERGENCE_NORM
+    # `not` skips the ufunc call that `~` makes on a numpy bool
+    return not within if axis is None else ~within
 
 
 class Objective:
@@ -227,7 +240,7 @@ def minimize(
                         "Hessian singular beyond the damping floor"
                     )
             iters += 1
-            if float(np.max(np.abs(w))) > DIVERGENCE_NORM:
+            if diverged(w):
                 raise SeparableDataError(
                     "divergence while minimizing; data likely separable or degenerate"
                 )
@@ -243,7 +256,7 @@ def minimize(
             iters += 1
             if iters >= cap:
                 raise ConvergenceError(f"GD did not reach tol={tol} in {cap} iterations")
-            if float(np.max(np.abs(w))) > DIVERGENCE_NORM:
+            if diverged(w):
                 raise SeparableDataError(
                     "divergence while minimizing; data likely separable or degenerate"
                 )

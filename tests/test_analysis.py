@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,14 +10,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gdcycles as g
+from gdcycles import analysis
 from gdcycles.analysis import _CSV_BLOCK_ROWS, _dedup, sweep_to_csv
 from gdcycles.dynamics import Trajectory
+from gdcycles.losses import ScalarLoss
 from gdcycles.objective import lambda_max
 from conftest import RECIPE_P7, RECIPE_P13, closure_run, random_nonseparable, slice_starts
 
 
 def toy3_objective():
     return g.Objective(g.make_toy(g.ToySpec(3, [1.0])), g.logistic())
+
+
+def exponential_loss():
+    """exp(z): its derivative grows without bound, so GD past the critical
+    step size leaves any bound after a number of steps set by the init."""
+    def d1(z, out=None, scratch=None):
+        return np.exp(z, out=out)
+
+    return ScalarLoss("exponential", np.exp, d1, np.exp)
 
 
 def synthetic_trajectory(tail: np.ndarray, eta: float = 1.0) -> Trajectory:
@@ -262,24 +274,54 @@ class TestBifurcationSweep:
         with pytest.raises(ValueError):
             g.bifurcation_sweep(obj, [1.0, 9.0], **args)
 
-    @pytest.mark.parametrize("case", ["diverging-1d", "nine-inits-2d"])
-    def test_blocks_match_one_step_size_sweeps(self, case):
-        # the grids span several row blocks; each cell must equal, bit for
-        # bit, the cell of a sweep over its step size alone.  Nine inits is
-        # not a multiple of BLAS's row unrolling, so a flat (rows, d) batch
-        # would round some rows differently from a nine-row one.
+    @pytest.mark.parametrize("grid", [[np.nan], [-1.0, 9.0], [0.0, 9.0], [1.0, np.inf],
+                                      [-np.inf, 1.0], [1.0, np.nan, 9.0]],
+                             ids=["nan", "negative", "zero", "inf", "-inf", "nan-inside"])
+    def test_step_sizes_must_be_positive_and_finite(self, grid):
+        obj = g.Objective(g.make_toy(g.ToySpec(2, [1.0])), g.logistic())
+        with pytest.raises(ValueError, match="positive and finite"):
+            g.bifurcation_sweep(obj, grid, n_inits=2, T=10)
+
+    @pytest.mark.parametrize("case", [
+        "diverging-1d", "nine-inits-2d", "no-transient", "tail-1", "d3", "several-stacks",
+        "diverging-in-both-phases",
+    ])
+    def test_blocks_match_one_step_size_sweeps(self, case, monkeypatch):
+        # each cell must equal, bit for bit, the cell of a sweep over its
+        # step size alone.  Nine inits is not a multiple of BLAS's row
+        # unrolling, so a flat (rows, d) batch would round some rows
+        # differently from a nine-row one.
         if case == "diverging-1d":
             obj = g.Objective(g.parse_compact("1 1 1\n"), g.logistic())
             grid, kw = np.geomspace(1.0, 1e13, 30), {"n_inits": 5, "T": 2000}
+        elif case == "d3":
+            obj = g.Objective(random_nonseparable(np.random.default_rng(6), 3), g.logistic())
+            grid = np.linspace(0.5, 1.6, 12) * g.minimize(obj).eta_two_lambda
+            kw = {"n_inits": 7, "T": 700, "tail": 300, "pn_group": 2}
+        elif case == "diverging-in-both-phases":
+            # the exponential loss on toy n=2 is cosh(w): past eta = 2 the
+            # origin repels and the iterate overflows, later the smaller the
+            # init, so the scales split the cells between the two phases
+            obj = g.Objective(g.make_toy(g.ToySpec(2, [1.0])), exponential_loss())
+            grid, kw = np.linspace(2.2, 4.0, 10), {"n_inits": 7, "T": 40, "tail": 20}
         else:
             obj = g.Objective(random_nonseparable(np.random.default_rng(4), 2), g.logistic())
             grid = np.linspace(0.5, 1.6, 8) * g.minimize(obj).eta_two_lambda
-            kw = {"n_inits": 9, "T": 1200, "pn_group": 1}
-        sweep = g.bifurcation_sweep(obj, grid, seed=5, **kw)
-        assert len(sweep.cells) > 64
-        singles = [c for eta in grid
-                   for c in g.bifurcation_sweep(obj, [eta], seed=5, **kw).cells]
-        assert len(singles) == len(sweep.cells)
+            kw = {"n_inits": 9, "T": 1200, "pn_group": 1, **{
+                "nine-inits-2d": {},
+                "no-transient": {"T": 700, "tail": 700},   # T <= tail: all tail
+                "tail-1": {"tail": 1},
+                "several-stacks": {"tail": 50},
+            }[case]}
+        if case == "several-stacks":
+            # a stack of 2**9 floats per workspace buffer fits five step
+            # sizes of nine inits and ten groups: eight step sizes, two stacks
+            monkeypatch.setattr(analysis, "_SWEEP_BLOCK_FLOATS", 2**9)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sweep = g.bifurcation_sweep(obj, grid, seed=5, **kw)
+            singles = [c for eta in grid
+                       for c in g.bifurcation_sweep(obj, [eta], seed=5, **kw).cells]
+        assert len(singles) == len(sweep.cells) == len(grid) * kw["n_inits"]
         for got, want in zip(sweep.cells, singles):
             assert (got.eta, got.init_index, got.diverged) == \
                 (want.eta, want.init_index, want.diverged)
@@ -292,6 +334,61 @@ class TestBifurcationSweep:
                 assert got.final_pn.tobytes() == want.final_pn.tobytes()
         if case == "diverging-1d":
             assert 0 < sum(c.diverged for c in sweep.cells) < len(sweep.cells)
+        if case == "diverging-in-both-phases":
+            # a cell diverged in the transient iff it has by step T - tail
+            with np.errstate(over="ignore", invalid="ignore"):
+                early = g.bifurcation_sweep(obj, grid, seed=5, n_inits=7, T=20, tail=20)
+            in_transient = [c.diverged for c in early.cells]
+            in_tail = [c.diverged and not e for c, e in zip(sweep.cells, in_transient)]
+            assert any(in_transient) and any(in_tail)
+            assert not all(c.diverged for c in sweep.cells)
+
+    @pytest.mark.parametrize("T,tail,stacks,blocks,widest", [
+        (50, 8, 3, 3, 8),     # stacks of 8 step sizes, each one tail block
+        (50, 40, 3, 10, 8),   # stacks of 8, tail blocks of 2
+        (30, 40, 3, 10, 2),   # T <= tail: no transient
+    ])
+    def test_step_many_calls(self, monkeypatch, T, tail, stacks, blocks, widest):
+        # (T - tail) steps per transient stack, then tail steps per block.
+        # 2**8 floats: 8 step sizes of 3 inits and 10 groups per stack, and
+        # 256 // (tail * 3) per block
+        obj = g.Objective(random_nonseparable(np.random.default_rng(4), 2), g.logistic())
+        monkeypatch.setattr(analysis, "_SWEEP_BLOCK_FLOATS", 2**8)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].shape)
+            return g.step_many(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "step_many", counting)
+        grid = np.linspace(0.5, 1.5, 20) * g.minimize(obj).eta_two_lambda
+        g.bifurcation_sweep(obj, grid, n_inits=3, T=T, tail=tail)
+        assert len(calls) == max(0, T - tail) * stacks + min(T, tail) * blocks
+        assert max(shape[0] for shape in calls) == widest
+
+    def test_memory_does_not_grow_with_the_grid(self, monkeypatch):
+        # the working memory (the peak less what the result holds) of a
+        # 1024-step-size sweep stays that of a 64-step-size one, but for the
+        # grid's output bookkeeping: 2**12 floats per workspace buffer fit
+        # 16 step sizes of 8 inits and 32 groups, so both grids fill whole
+        # stacks; one uncapped stack of 1024 would take about 1 KiB per cell
+        monkeypatch.setattr(analysis, "_SWEEP_BLOCK_FLOATS", 2**12)
+        obj = g.Objective(random_nonseparable(np.random.default_rng(4), 2, n_rows=16),
+                          g.logistic())
+
+        def working_bytes(n_etas):
+            grid = np.linspace(0.1, 1.0, n_etas)
+            tracemalloc.start()
+            try:
+                sweep = g.bifurcation_sweep(obj, grid, n_inits=8, T=4, tail=2)
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return peak - current, len(sweep.cells)
+
+        small, small_cells = working_bytes(64)
+        big, big_cells = working_bytes(1024)
+        assert big < small + 64 * (big_cells - small_cells)
 
     def test_divergence_recorded_per_cell(self):
         ds = g.parse_compact("1 1 1\n")  # separable: huge eta walks away

@@ -255,6 +255,19 @@ class TestUsageErrors:
         assert err.startswith("error: ")
         assert not (out_dir / "trajectory.csv").exists()
 
+    @pytest.mark.parametrize("eta_min", ["nan", "-1", "0"])
+    def test_step_size_grid_out_of_range_exits_1(self, capsys, tmp_path, eta_min):
+        # a NaN grid would write every cell as diverged, and eta <= 0 rows
+        # of eta 0 or of gradient ascent, as if they were results
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(
+            capsys, "bifurcate", "--data", str(RECIPES / "toy_n2.cds"),
+            "--eta-min", eta_min, "--eta-max", "9", "--steps", "4", "--inits", "2",
+            "--iters", "50", "--out", str(out_dir))
+        assert code == 1
+        assert err.startswith("error: ") and "positive and finite" in err
+        assert not (out_dir / "sweep.csv").exists()
+
     @pytest.mark.parametrize("group", ["5", "-1"])
     def test_pn_group_out_of_range_exits_1(self, capsys, tmp_path, group):
         # toy_n2 has two groups; -1 must not quietly probe the last one

@@ -59,6 +59,14 @@ class TestGdStep:
         with pytest.raises(ValueError):
             g.gd_step(obj, np.zeros(1), 0.0)
 
+    @pytest.mark.parametrize("eta", [-1.0, np.nan, np.inf, -np.inf])
+    def test_eta_must_be_positive_and_finite(self, eta):
+        # checked before stepping, as resolve_eta checks it, not found out
+        # from a non-finite step afterwards
+        obj = toy3_objective()
+        with pytest.raises(ValueError, match="positive finite"):
+            g.gd_step(obj, np.zeros(1), eta)
+
     def test_step_many_matches_gd_step(self):
         rng = np.random.default_rng(1)
         obj = g.Objective(random_nonseparable(rng, 3), g.logistic())
@@ -295,6 +303,16 @@ class TestRun:
         np.testing.assert_array_equal(traj.times, np.arange(len(traj.times)))
         values = np.array([obj.value(w) for w in traj.iterates])
         np.testing.assert_array_equal(traj.losses, values)
+
+    def test_diverging_run_stops_where_the_sup_norm_guard_stopped(self):
+        # the guard counts NaN as diverged, which a run from a finite w0 at a
+        # finite eta cannot reach before passing the bound: the run stops
+        # at the step, and with the bytes, of a plain sup-norm comparison
+        obj = g.Objective(g.parse_compact("3 1 -9 -6\n1 1 -7 -4\n4 1 6 4\n"), g.logistic())
+        traj = _assert_run_is_stepping(
+            obj, g.GDConfig(w0=[0.0, 0.0], max_iters=5000, eta=1e11))
+        assert traj.diverged
+        assert traj.times[-1] == 397
 
 
 def _run_by_stepping(obj, cfg):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import gdcycles as g
+from gdcycles.objective import DIVERGENCE_NORM, diverged
 from conftest import (
     bisect_root,
     fd_gradient,
@@ -124,6 +125,40 @@ class TestGradientHessianOracles:
             assert a.value(w) == pytest.approx(b.value(w), rel=1e-14)
             np.testing.assert_allclose(a.gradient(w), b.gradient(w), rtol=1e-13, atol=1e-16)
             np.testing.assert_allclose(a.hessian(w), b.hessian(w), rtol=1e-13, atol=1e-16)
+
+
+class TestDiverged:
+    @pytest.mark.parametrize("value,want", [
+        (np.nan, True), (np.inf, True), (-np.inf, True),
+        (1e12, False), (-1e12, False),
+        (np.nextafter(1e12, np.inf), True), (-np.nextafter(1e12, np.inf), True),
+        (-0.0, False), (0.0, False),
+    ], ids=["nan", "inf", "-inf", "bound", "-bound", "past-bound", "-past-bound",
+            "-0", "0"])
+    def test_values(self, value, want):
+        assert DIVERGENCE_NORM == 1e12
+        w = np.array([value])
+        assert diverged(w) is want
+        # one coordinate beyond the bound is enough, wherever it sits
+        assert diverged(np.array([0.5, value, -3.0])) is want
+
+    def test_one_dimensional_state_gives_one_bool(self):
+        assert diverged(np.array([1.0, -2.0])) is False
+        assert diverged(np.array([1.0, np.nan])) is True
+
+    def test_stack_mask_per_state(self):
+        W = np.zeros((3, 4, 2))
+        W[0, 1, 0] = np.nan
+        W[2, 3, 1] = -np.inf
+        W[1, 2, 0] = np.nextafter(1e12, np.inf)
+        W[2, 0, 1] = 1e12
+        mask = diverged(W, axis=-1)
+        assert mask.shape == (3, 4) and mask.dtype == bool
+        want = np.zeros((3, 4), dtype=bool)
+        want[0, 1] = want[2, 3] = want[1, 2] = True
+        np.testing.assert_array_equal(mask, want)
+        assert diverged(W)
+        assert not diverged(np.where(np.isfinite(W) & (np.abs(W) <= 1e12), W, 0.0))
 
 
 class TestLambdaMax:

@@ -14,3 +14,25 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name} has assert statements on lines {lines}"
+
+
+def _reads_divergence_norm(node) -> bool:
+    if isinstance(node, ast.Name):
+        return node.id == "DIVERGENCE_NORM"
+    if isinstance(node, ast.Attribute):
+        return node.attr == "DIVERGENCE_NORM"
+    if isinstance(node, ast.ImportFrom):
+        return any(alias.name == "DIVERGENCE_NORM" for alias in node.names)
+    return False
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_divergence_norm_read_only_by_the_guard(path):
+    # objective.diverged is the one divergence guard; any other reader of
+    # the bound is a second implementation of it
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if _reads_divergence_norm(node)]
+    if path.name == "objective.py":
+        assert lines, "objective.py no longer defines the divergence bound"
+    else:
+        assert not lines, f"{path.name} reads DIVERGENCE_NORM on lines {lines}"
