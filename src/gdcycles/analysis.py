@@ -19,8 +19,10 @@ import numpy as np
 from .dynamics import (
     StepWork,
     Trajectory,
+    _RepeatCheck,
     _final_states,
     _lyapunov_from_states,
+    _row_bits,
     _state_blocks,
     orbit_multiplier,
     step_many,
@@ -193,6 +195,7 @@ class BifurcationSweep:
     seed: int
     scales: tuple
     n_inits: int
+    row_steps: int                    # cell-steps taken, at most len(cells) * T
 
     def cells_at(self, eta_index: int):
         return self.cells[eta_index * self.n_inits:(eta_index + 1) * self.n_inits]
@@ -217,7 +220,8 @@ def _dedup(values: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
 
 # A sweep's transient stack holds at most this many floats in each buffer of
 # its StepWork, and a tail block's two buffers at most this many each (512
-# KiB), so the sweep's memory does not grow with the grid.
+# KiB), its recorded states when it is closed d times as many, so the
+# sweep's memory does not grow with the grid.
 _SWEEP_BLOCK_FLOATS = 2**16
 
 
@@ -258,23 +262,33 @@ def bifurcation_sweep(
 
     Initializations are scale * standard-normal draws, the scales cycled
     across init indices, all deterministic from ``seed`` and shared across
-    step sizes.  Divergence is recorded per cell, never raised.  The step
-    sizes must be positive, finite and strictly ascending.
+    step sizes.  Divergence is recorded per cell, never raised.  The grid
+    must be a nonempty 1-D sequence of positive, finite, strictly ascending
+    step sizes, and ``scales`` a nonempty sequence of finite values.
 
     The pairs are stepped as (etas, n_inits, d) stacks with one step size
     per layer, in two phases that share one step loop:
 
     - the transient, steps 1 .. T - tail, records nothing, so it steps as
       many step sizes at once as fit 2**16 floats in each buffer of one
-      StepWork (at least one step size);
+      StepWork (at least one step size).  It runs Brent's byte-repeat check
+      (``dynamics._RepeatCheck``) on every cell and keeps the period p of
+      each cell whose bytes repeat;
     - the tail, the last min(tail, T) steps, steps each transient stack in
       blocks of consecutive step sizes whose two tail buffers hold at most
       2**16 values each, or one step size's n_inits * min(tail, T) when
-      that is more.
+      that is more.  A block is closed when every cell of it still alive
+      repeated in the transient and the largest period P is at most the
+      tail: such a cell's tail runs through the p states after T - tail
+      over and over, so the block steps and records only P steps, and each
+      cell reports its first p values and, as its final state, the one at
+      step (tail - 1) % p + 1.  Every other block steps the whole tail.
 
     Every matrix product runs on the same (n_inits, d) layers as a
     one-step-size sweep, so a cell does not depend on the grid around it:
-    BLAS may round a row differently by its position in a product.
+    BLAS may round a row differently by its position in a product.  So
+    every cell is bit for bit what stepping all T steps gives, and
+    ``row_steps`` counts the cell-steps taken, at most len(cells) * T.
 
     ``pn_group`` optionally also records the distinct tail values of the
     probability p = sigma(-y_g w.x_g) for one dataset group; loss and
@@ -282,20 +296,24 @@ def bifurcation_sweep(
     produce identical losses), and this probe is how those are made visible.
     """
     eta_grid = np.asarray(eta_grid, dtype=float)
+    if eta_grid.ndim != 1 or len(eta_grid) == 0:
+        raise ValueError(f"eta_grid must be a nonempty 1-D sequence, got shape {eta_grid.shape}")
     if not np.all(np.isfinite(eta_grid) & (eta_grid > 0.0)):
         raise ValueError(f"step sizes must be positive and finite, got {eta_grid}")
     if np.any(np.diff(eta_grid) <= 0.0):
         raise ValueError("eta_grid must be strictly ascending")
     if n_inits < 1 or T < 1 or tail < 1:
         raise ValueError(f"n_inits, T and tail must be positive, got {n_inits}, {T}, {tail}")
+    scale_arr = np.asarray(scales, dtype=float)
+    if scale_arr.ndim != 1 or len(scale_arr) == 0 or not np.all(np.isfinite(scale_arr)):
+        raise ValueError(f"scales must be a nonempty sequence of finite values, got {scales}")
     A = obj._A
     if pn_group is not None and not 0 <= pn_group < len(A):
         raise ValueError(f"pn_group must index one of the {len(A)} dataset groups, "
                          f"got {pn_group}")
     rng = np.random.default_rng(seed)
     d = obj.dim
-    scale_arr = np.array([scales[i % len(scales)] for i in range(n_inits)])
-    inits = rng.standard_normal((n_inits, d)) * scale_arr[:, None]
+    inits = rng.standard_normal((n_inits, d)) * np.resize(scale_arr, n_inits)[:, None]
     tail_steps = min(tail, T)
     etas_per_block = max(1, _SWEEP_BLOCK_FLOATS // (tail_steps * n_inits))
     etas_per_stack = max(1, _SWEEP_BLOCK_FLOATS // (max(len(A), d) * n_inits))
@@ -308,36 +326,57 @@ def bifurcation_sweep(
     pn_row = None if pn_group is None else A[pn_group]
 
     cells = []
+    row_steps = 0
     for s_lo in range(0, len(eta_grid), etas_per_stack):
         stack_etas = eta_grid[s_lo:s_lo + etas_per_stack]
         shape = (len(stack_etas), n_inits)
         W_stack = np.broadcast_to(inits, shape + (d,)).copy()
         work = StepWork(obj, W_stack.size // d)
         alive_stack = np.ones(shape, dtype=bool)
-        for _ in _sweep_steps(obj, W_stack, stack_etas[:, None, None], work, alive_stack,
-                              T - tail_steps):
-            pass
+        bits = _row_bits(W_stack.reshape(-1, d))   # a view: it follows the steps
+        repeats = _RepeatCheck(bits)
+        for u, _ in enumerate(_sweep_steps(obj, W_stack, stack_etas[:, None, None], work,
+                                           alive_stack, T - tail_steps), 1):
+            repeats(bits, u)
+        period_stack = repeats.period.reshape(shape)   # 0 where a cell never repeated
+        row_steps += len(bits) * (T - tail_steps)
         for lo in range(0, len(stack_etas), etas_per_block):
             etas = stack_etas[lo:lo + etas_per_block]
             W, alive = W_stack[lo:lo + len(etas)], alive_stack[lo:lo + len(etas)]
-            tail_losses = np.empty((tail_steps,) + alive.shape)
-            tail_pn = np.empty((tail_steps,) + alive.shape) if pn_row is not None else None
+            period = period_stack[lo:lo + len(etas)]
+            # a cell that repeated in the transient takes its p tail values
+            # in tail steps 1 .. p, and its state at T in step (tail - 1) % p + 1
+            live = period[alive]
+            P = int(live.max(initial=0))
+            closed = bool(np.all(live > 0)) and P <= tail_steps
+            steps = P if closed else tail_steps
+            tail_losses = np.empty((steps,) + alive.shape)
+            tail_pn = np.empty((steps,) + alive.shape) if pn_row is not None else None
+            tail_states = np.empty((steps,) + W.shape) if closed else None
             for k, _ in enumerate(_sweep_steps(obj, W, etas[:, None, None], work, alive,
-                                               tail_steps)):
+                                               steps)):
                 tail_losses[k] = loss.f(W @ A.T) @ wts
                 if tail_pn is not None:
                     tail_pn[k] = sigmoid(W @ pn_row)
+                if closed:
+                    tail_states[k] = W
+            row_steps += alive.size * steps
             for j, eta in enumerate(etas.tolist()):
                 for i in range(n_inits):
                     if not alive[j, i]:
                         cells.append(SweepCell(eta, i, np.array([]), float("nan"), True,
                                                np.array([]) if pn_row is not None else None))
                         continue
-                    fl = _dedup(tail_losses[:, j, i])
-                    sharp = eta * lambda_max(obj.hessian(W[j, i])) / 2.0
-                    fp = _dedup(tail_pn[:, j, i]) if tail_pn is not None else None
+                    if closed:
+                        p = int(period[j, i])
+                        w_T = tail_states[(tail_steps - 1) % p, j, i]
+                    else:
+                        p, w_T = steps, W[j, i]
+                    fl = _dedup(tail_losses[:p, j, i])
+                    sharp = eta * lambda_max(obj.hessian(w_T)) / 2.0
+                    fp = _dedup(tail_pn[:p, j, i]) if tail_pn is not None else None
                     cells.append(SweepCell(eta, i, fl, sharp, False, fp))
-    return BifurcationSweep(eta_grid, tuple(cells), seed, tuple(scales), n_inits)
+    return BifurcationSweep(eta_grid, tuple(cells), seed, tuple(scales), n_inits, row_steps)
 
 
 # ---------------------------------------------------------------------------

@@ -294,6 +294,7 @@ def cmd_bifurcate(args) -> int:
     except ValueError as exc:  # the step sizes, --steps, --inits, --iters or --pn-group
         raise UsageError(str(exc)) from None
     print(f"cells = {len(sweep.cells)}")
+    print(f"row_steps = {sweep.row_steps}")
     return EXIT_OK
 
 

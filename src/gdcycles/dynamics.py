@@ -187,18 +187,59 @@ def step_many(obj: Objective, W: np.ndarray, eta: Union[float, np.ndarray], *,
     return np.subtract(W, grad, out=out)
 
 
+class _RepeatCheck:
+    """Brent's byte-repeat check (BIT 20, 1980) on a batch of float rows
+    that all start at t = 0: the batched form of the check ``run`` makes on
+    its one iterate.  The rows are passed as ``_row_bits`` gives them, their
+    int64 bit patterns, so that -0.0 and 0.0 differ and a NaN matches its
+    own bytes.
+
+    The rows share the reference time r and its span, re-taken whenever
+    t - r reaches the span (which then doubles), and each row keeps its own
+    reference state w_r.  A row whose state at time u has the bytes of its
+    w_r is periodic from r on with period u - r (the map is a pure function
+    of a row's bits); ``period`` holds that period for each row, 0 for a
+    row that has not repeated.
+    """
+
+    def __init__(self, bits: np.ndarray):
+        self.ref, self.r, self.span = bits.copy(), 0, 1
+        self.period = np.zeros(len(bits), dtype=np.int64)
+        self.open = np.ones(len(bits), dtype=bool)     # not repeated yet
+
+    def __call__(self, bits: np.ndarray, u: int) -> Optional[np.ndarray]:
+        """Check the rows' bits at time u: the mask of the rows that repeat
+        for the first time, or None when none does.  Then the reference
+        moves to u if its span is up."""
+        ref = self.ref
+        hit = bits[:, 0] == ref[:, 0]
+        for j in range(1, bits.shape[1]):  # column by column: np.all(axis=1) is slower
+            hit &= bits[:, j] == ref[:, j]
+        hit &= self.open
+        found = np.count_nonzero(hit)      # on a few rows a third of hit.any()'s cost
+        if found:
+            self.period[hit] = u - self.r
+            self.open &= ~hit
+        if u - self.r == self.span:
+            self.ref, self.r, self.span = bits.copy(), u, 2 * self.span
+        return hit if found else None
+
+    def keep(self, rows: np.ndarray):
+        """Keep the state of the rows selected by ``rows`` only, as the batch
+        keeps those rows only."""
+        self.ref, self.period, self.open = self.ref[rows], self.period[rows], self.open[rows]
+
+
 def _final_states(obj: Objective, W: np.ndarray, eta: float, T: int):
     """The rows of W, shape (n, d), after T steps of the GD map, each bit for
     bit what stepping the whole batch T times gives; and the row-steps taken.
 
     A row leaves the batch once its final state is known.  Each row is
-    checked for a byte repeat as ``run`` checks its iterate (Brent): the
-    rows all start at t = 0, so they share the reference time r and its
-    span, and each keeps its own reference state w_r, compared by its int64
-    bit patterns.  A row whose bytes at time u repeat those of w_r is
-    periodic from r with period p = u - r, so its state at T is the one at
-    u + (T - u) % p; there it is written out and dropped from the batch, and
-    later steps act on fewer rows.
+    checked for a byte repeat (``_RepeatCheck``); a row whose bytes at time
+    u repeat those of its reference w_r is periodic from r with period
+    p = u - r, so its state at T is the one at u + (T - u) % p; there it is
+    written out and dropped from the batch, and later steps act on fewer
+    rows.
 
     A row's step does not depend on the other rows of a batch of two or
     more, but a batch of one row, shape (1, d), goes down another product
@@ -210,25 +251,18 @@ def _final_states(obj: Objective, W: np.ndarray, eta: float, T: int):
     out = W.copy()
     rows = np.arange(len(W))               # each batch row's row in W
     stop = np.full(len(W), T)              # when each batch row is written
-    open_ = np.ones(len(W), dtype=bool)    # no repeat found yet
     todo = np.ones(len(W), dtype=bool)     # not written yet
-    ref, r, span = W.view(np.int64).copy(), 0, 1
+    repeats = _RepeatCheck(_row_bits(W))
     first = T                              # the earliest stop of a row not written
     row_steps = 0
     work = StepWork(obj, len(W))           # re-cut by step_many as the batch shrinks
     for u in range(1, T + 1):
         W = step_many(obj, W, eta, work=work, out=W)
         row_steps += len(W)
-        bits = W.view(np.int64)
-        hit = open_.copy()
-        for j in range(bits.shape[1]):     # column by column: np.all(axis=1) is slower
-            hit &= bits[:, j] == ref[:, j]
-        if hit.any():
-            stop[hit] = u + (T - u) % (u - r)
-            open_ &= ~hit
+        hit = repeats(W.view(np.int64), u)
+        if hit is not None:
+            stop[hit] = u + (T - u) % repeats.period[hit]
             first = min(first, int(stop[hit].min()))
-        if u - r == span:
-            ref, r, span = bits.copy(), u, 2 * span
         if u < first:
             continue
         done = todo & (stop == u)
@@ -240,8 +274,8 @@ def _final_states(obj: Objective, W: np.ndarray, eta: float, T: int):
             break
         if left == 1:
             keep[np.argmin(todo)] = True   # a written row rides along
-        W, ref, rows, stop, open_, todo = (
-            a[keep] for a in (W, ref, rows, stop, open_, todo))
+        W, rows, stop, todo = (a[keep] for a in (W, rows, stop, todo))
+        repeats.keep(keep)
         first = int(stop[todo].min())
     return out, row_steps
 

@@ -13,7 +13,7 @@ import gdcycles as g
 from gdcycles import analysis
 from gdcycles.analysis import _CSV_BLOCK_ROWS, _dedup, sweep_to_csv
 from gdcycles.dynamics import Trajectory
-from gdcycles.losses import ScalarLoss
+from gdcycles.losses import ScalarLoss, sigmoid
 from gdcycles.objective import lambda_max
 from conftest import RECIPE_P7, RECIPE_P13, closure_run, random_nonseparable, slice_starts
 
@@ -221,6 +221,44 @@ class TestDedup:
         assert len(out) == 3
 
 
+def plain_sweep_cells(obj, grid, n_inits, T, tail, seed, pn_group=None):
+    """A sweep's cells as bytes, from a plain loop: each step size's
+    (n_inits, d) layer stepped T times on its own, a cell frozen at zero
+    once its sup-norm passes 1e12 (or is NaN), and the tail losses and
+    probes recorded at every one of the last min(tail, T) steps."""
+    A, wts, scales = obj._A, obj._wts, analysis.DEFAULT_SCALES
+    inits = np.random.default_rng(seed).standard_normal((n_inits, obj.dim)) * \
+        np.array([scales[i % len(scales)] for i in range(n_inits)])[:, None]
+    cells = []
+    for eta in grid:
+        W, dead = inits.copy(), np.zeros(n_inits, dtype=bool)
+        losses, probes = [], []
+        for t in range(1, T + 1):
+            W = W - eta * ((obj.loss.d1(W @ A.T) * wts) @ A)
+            dead |= ~(np.abs(W).max(axis=1) <= 1e12)
+            W[dead] = 0.0
+            if t > T - tail:
+                losses.append(obj.loss.f(W @ A.T) @ wts)
+                if pn_group is not None:
+                    probes.append(sigmoid(W @ A[pn_group]))
+        losses, probes = np.array(losses), np.array(probes)
+        for i in range(n_inits):
+            if dead[i]:
+                cells.append((True, None, None, None))
+                continue
+            sharp = eta * lambda_max(obj.hessian(W[i])) / 2.0
+            cells.append((False, _dedup(losses[:, i]).tobytes(), np.float64(sharp).tobytes(),
+                          None if pn_group is None else _dedup(probes[:, i]).tobytes()))
+    return cells
+
+
+def sweep_cell_bytes(sweep):
+    """The cells of ``sweep`` in the form ``plain_sweep_cells`` gives."""
+    return [(True, None, None, None) if c.diverged else
+            (False, c.final_losses.tobytes(), np.float64(c.scaled_sharpness).tobytes(),
+             None if c.final_pn is None else c.final_pn.tobytes()) for c in sweep.cells]
+
+
 class TestBifurcationSweep:
     def test_determinism(self):
         obj = toy3_objective()
@@ -273,6 +311,16 @@ class TestBifurcationSweep:
         args = {"n_inits": 2, "T": 10, **kwargs}
         with pytest.raises(ValueError):
             g.bifurcation_sweep(obj, [1.0, 9.0], **args)
+
+    @pytest.mark.parametrize("grid,scales", [
+        ([], analysis.DEFAULT_SCALES), ([[7.0, 9.0]], analysis.DEFAULT_SCALES),
+        (7.0, analysis.DEFAULT_SCALES), ([7.0, 9.0], ()), ([7.0, 9.0], (1.0, np.nan)),
+        ([7.0, 9.0], (np.inf,)),
+    ], ids=["empty-grid", "2d-grid", "scalar-grid", "no-scales", "nan-scale", "inf-scale"])
+    def test_grid_and_scales_must_be_usable(self, grid, scales):
+        obj = g.Objective(g.make_toy(g.ToySpec(2, [1.0])), g.logistic())
+        with pytest.raises(ValueError, match="eta_grid|scales"):
+            g.bifurcation_sweep(obj, grid, n_inits=2, T=10, scales=scales)
 
     @pytest.mark.parametrize("grid", [[np.nan], [-1.0, 9.0], [0.0, 9.0], [1.0, np.inf],
                                       [-np.inf, 1.0], [1.0, np.nan, 9.0]],
@@ -342,6 +390,80 @@ class TestBifurcationSweep:
             in_tail = [c.diverged and not e for c, e in zip(sweep.cells, in_transient)]
             assert any(in_transient) and any(in_tail)
             assert not all(c.diverged for c in sweep.cells)
+
+    # toy n=2 repeats with float period 2 by step 257 at the step sizes
+    # below but for 8, which never repeats; "3 1 1 / 1 1 -1" (critical step size 32/3) with
+    # periods 1, 2, 4 and 8 by step 1031, the cycle points of unequal
+    # sharpness; under the exponential loss, toy n=2's large inits diverge by
+    # step 8 and the rest repeat with period 1 or 2 by step 65
+    PLAIN_LOOP_CASES = [
+        ("toy-n2-closed", 20 * (1500 - 256) + 20 * 2),
+        ("never-closing-8", 5 * 1500),
+        ("closed-and-open-blocks", 20 * (1500 - 256) + 8 * 2 + 8 * 256 + 4 * 2),
+        ("period-2-tail-1", 15 * 1500),
+        ("periods-1-to-8", 30 * (2100 - 1000) + 30 * 8),
+        ("diverging-in-transient", 14 * (200 - 100) + 14 * 2),
+        ("no-transient", 15 * 700),
+    ]
+
+    @pytest.mark.parametrize("case,row_steps", PLAIN_LOOP_CASES,
+                             ids=[case for case, _ in PLAIN_LOOP_CASES])
+    def test_cells_match_a_plain_stepping_loop(self, case, row_steps, monkeypatch):
+        # each cell must equal, bit for bit, the cell of a loop that steps
+        # its layer T times and records every tail step; a block whose alive
+        # cells all repeated in the transient, with periods of at most the
+        # tail, steps only their largest period (row_steps tells which did)
+        toy = g.make_toy(g.ToySpec(2, [1.0]))
+        obj = g.Objective(toy, g.logistic())
+        kw = {"n_inits": 5, "T": 1500, "tail": 256, "pn_group": 1}
+        if case == "toy-n2-closed":
+            grid = [7.0, 7.5, 9.0, 10.0]
+        elif case == "never-closing-8":
+            grid = [8.0]
+        elif case == "closed-and-open-blocks":
+            # 2**11 floats hold the tails of two step sizes of four inits:
+            # blocks [7, 7.5] and [10] close, [8, 9] holds the open layer 8
+            monkeypatch.setattr(analysis, "_SWEEP_BLOCK_FLOATS", 2**11)
+            grid, kw["n_inits"] = [7.0, 7.5, 8.0, 9.0, 10.0], 4
+        elif case == "period-2-tail-1":
+            # every cell repeats with period 2 > tail: the block steps its tail
+            grid, kw["tail"] = [7.0, 9.0, 10.0], 1
+        elif case == "periods-1-to-8":
+            obj = g.Objective(g.parse_compact("3 1 1\n1 1 -1\n"), g.logistic())
+            grid = np.array([0.8, 0.9, 1.1, 1.2, 1.3, 1.4]) * g.minimize(obj).eta_two_lambda
+            kw.update(T=2100, tail=1000, pn_group=0)   # (tail - 1) % p = p - 1
+        elif case == "diverging-in-transient":
+            obj = g.Objective(toy, exponential_loss())
+            grid, kw = [1.0, 1.5], {"n_inits": 7, "T": 200, "tail": 100}
+        else:
+            grid, kw["T"], kw["tail"] = [7.0, 8.0, 9.0], 700, 1024   # T <= tail
+        with np.errstate(over="ignore", invalid="ignore"):
+            sweep = g.bifurcation_sweep(obj, grid, seed=5, **kw)
+            want = plain_sweep_cells(obj, grid, seed=5, **kw)
+        assert sweep_cell_bytes(sweep) == want
+        assert sweep.row_steps == row_steps
+        if case == "diverging-in-transient":
+            assert 0 < sum(c.diverged for c in sweep.cells) < len(sweep.cells)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_step_many_calls_with_closed_blocks(self, monkeypatch, seed):
+        # the benchmark's 61x4 toy sweep: one transient stack of 2976 steps,
+        # then four tail blocks of 16, 16, 16 and 13 step sizes; only the
+        # block holding 7.95 and 8.0 has cells that never repeat, and the
+        # others step one period, 2
+        obj = g.Objective(g.make_toy(g.ToySpec(2, [1.0])), g.logistic())
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].shape)
+            return g.step_many(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "step_many", counting)
+        grid = np.round(np.arange(7.0, 10.0001, 0.05), 10)
+        sweep = g.bifurcation_sweep(obj, grid, n_inits=4, T=4000, seed=seed, pn_group=1)
+        assert len(calls) == 2976 + 1024 + 3 * 2 == 4006
+        assert calls.count((61, 4, 1)) == 2976
+        assert sweep.row_steps == 244 * 2976 + 64 * 1024 + (16 + 16 + 13) * 4 * 2 == 792_040
 
     @pytest.mark.parametrize("T,tail,stacks,blocks,widest", [
         (50, 8, 3, 3, 8),     # stacks of 8 step sizes, each one tail block

@@ -127,6 +127,17 @@ class TestBifurcate:
         lines = (tmp_path / "s1" / "sweep.csv").read_text().strip().splitlines()
         assert len(lines) == 3  # header + 2 cells, one loss each
 
+    def test_prints_row_steps(self, capsys, toy2_file, tmp_path):
+        # every cell of 6, 6.5 and 7 repeats with period 2 in the 976-step
+        # transient, so the one tail block steps 2 steps, not 1024
+        code, out, _ = run_cli(
+            capsys, "bifurcate", "--data", str(toy2_file),
+            "--eta-min", "6.0", "--eta-max", "7.0", "--steps", "3",
+            "--inits", "3", "--iters", "2000", "--seed", "7", "--out", str(tmp_path / "s"))
+        assert code == 0
+        assert "cells = 9\n" in out
+        assert f"row_steps = {9 * (2000 - 1024) + 9 * 2}\n" in out
+
     def test_rerun_byte_identical(self, capsys, toy2_file, tmp_path):
         args = ["bifurcate", "--data", str(toy2_file), "--eta-min", "6.0",
                 "--eta-max", "9.0", "--steps", "3", "--inits", "2",
@@ -266,6 +277,17 @@ class TestUsageErrors:
             "--iters", "50", "--out", str(out_dir))
         assert code == 1
         assert err.startswith("error: ") and "positive and finite" in err
+        assert not (out_dir / "sweep.csv").exists()
+
+    def test_empty_step_size_grid_exits_1(self, capsys, tmp_path):
+        # --steps 0 used to exit 0 with "cells = 0" and a header-only sweep.csv
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(
+            capsys, "bifurcate", "--data", str(RECIPES / "toy_n2.cds"),
+            "--eta-min", "6", "--eta-max", "9", "--steps", "0", "--inits", "2",
+            "--iters", "50", "--out", str(out_dir))
+        assert code == 1
+        assert err.startswith("error: ") and "eta_grid" in err
         assert not (out_dir / "sweep.csv").exists()
 
     @pytest.mark.parametrize("group", ["5", "-1"])

@@ -14,9 +14,11 @@ from gdcycles.cli import _load_recipe
 from gdcycles.dynamics import (
     _LOSS_BLOCK_FLOATS,
     _PHASE_BLOCK_ROWS,
+    _RepeatCheck,
     _final_states,
     _losses_from_margins,
     _lyapunov_from_states,
+    _row_bits,
     _state_blocks,
 )
 from gdcycles.losses import ScalarLoss
@@ -581,6 +583,56 @@ CLOSURE_CASES = [
     ("chaotic_1d", "squareplus", 37, 64),
     ("diverging", "logistic", 7, 64),
 ]
+
+
+class TestRepeatCheck:
+    """The batched byte-repeat check that _final_states and
+    bifurcation_sweep share."""
+
+    def test_compares_bytes_not_values(self):
+        # as floats -0.0 == 0.0 and nan != nan; their bytes say the opposite
+        check = _RepeatCheck(_row_bits([[0.0, 1.0], [np.nan, 1.0], [2.0, 3.0]]))
+        hit = check(_row_bits([[-0.0, 1.0], [np.nan, 1.0], [2.0, 3.0]]), 1)
+        assert hit.tolist() == [False, True, True]
+        assert check.period.tolist() == [0, 1, 1]
+        # a row reports its first repeat only
+        assert check(_row_bits([[0.0, 1.0], [np.nan, 1.0], [2.0, 3.0]]), 2) is None
+
+    def test_finds_what_brent_finds_row_by_row(self):
+        # rows x_t = t before mu and mu + (t - mu) % lam from mu on, against
+        # Brent's loop on each row alone
+        cases = [(0, 1), (1, 1), (0, 3), (5, 2), (7, 5), (20, 13), (3, 40)]
+
+        def seq(mu, lam, t):
+            return float(t if t < mu else mu + (t - mu) % lam)
+
+        def brent(mu, lam):
+            ref, r, span = seq(mu, lam, 0), 0, 1
+            for u in range(1, 200):
+                if seq(mu, lam, u) == ref:
+                    return u, u - r
+                if u - r == span:
+                    ref, r, span = seq(mu, lam, u), u, 2 * span
+
+        def rows(t):
+            return _row_bits([[seq(mu, lam, t), -seq(mu, lam, t)] for mu, lam in cases])
+
+        check, found = _RepeatCheck(rows(0)), {}
+        for u in range(1, 200):
+            hit = check(rows(u), u)
+            if hit is not None:
+                found.update((int(i), (u, int(check.period[i]))) for i in np.flatnonzero(hit))
+        assert found == {i: brent(mu, lam) for i, (mu, lam) in enumerate(cases)}
+        assert not check.open.any()
+
+    def test_keep_selects_rows(self):
+        check = _RepeatCheck(_row_bits([[1.0], [2.0], [3.0]]))
+        check(_row_bits([[1.0], [5.0], [6.0]]), 1)
+        check.keep(np.array([True, False, True]))
+        assert check.period.tolist() == [1, 0] and check.open.tolist() == [False, True]
+        # the reference moved to t = 1: row 3's is 6.0
+        assert check(_row_bits([[1.0], [6.0]]), 2).tolist() == [False, True]
+        assert check.period.tolist() == [1, 1]
 
 
 class TestStateBlocks:
