@@ -19,10 +19,8 @@ import numpy as np
 from .dynamics import (
     StepWork,
     Trajectory,
-    _RepeatCheck,
     _final_states,
     _lyapunov_from_states,
-    _row_bits,
     _state_blocks,
     orbit_multiplier,
     step_many,
@@ -219,32 +217,11 @@ def _dedup(values: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
 
 
 # A sweep's transient stack holds at most this many floats in each buffer of
-# its StepWork, and a tail block's two buffers at most this many each (512
-# KiB), its recorded states when it is closed d times as many, so the
-# sweep's memory does not grow with the grid.
+# its StepWork and in each of its arrays of states (the stack, the states
+# written out, the repeat check's reference), and a tail block's two
+# buffers at most this many each (512 KiB), its recorded states when it is
+# closed d times as many, so the sweep's memory does not grow with the grid.
 _SWEEP_BLOCK_FLOATS = 2**16
-
-
-def _sweep_steps(obj: Objective, W: np.ndarray, eta_layers: np.ndarray, work: StepWork,
-                 alive: np.ndarray, steps: int):
-    """Step the (etas, n_inits, d) stack W in place ``steps`` times,
-    yielding after each step.
-
-    A cell whose state trips the divergence guard is cleared in ``alive``,
-    shape (etas, n_inits), and its state zeroed after that and every later
-    step.  The guard runs once over the whole stack; the per-cell mask is
-    built only on a step where it fires."""
-    dead = ~alive
-    frozen = bool(dead.any())
-    for _ in range(steps):
-        step_many(obj, W, eta_layers, work=work, out=W)
-        if diverged(W):
-            alive &= ~diverged(W, axis=-1)
-            np.logical_not(alive, out=dead)
-            frozen = True
-        if frozen:
-            W[dead] = 0.0  # frozen; excluded from reporting
-        yield
 
 
 def bifurcation_sweep(
@@ -267,13 +244,18 @@ def bifurcation_sweep(
     step sizes, and ``scales`` a nonempty sequence of finite values.
 
     The pairs are stepped as (etas, n_inits, d) stacks with one step size
-    per layer, in two phases that share one step loop:
+    per layer, in two phases:
 
     - the transient, steps 1 .. T - tail, records nothing, so it steps as
       many step sizes at once as fit 2**16 floats in each buffer of one
-      StepWork (at least one step size).  It runs Brent's byte-repeat check
-      (``dynamics._RepeatCheck``) on every cell and keeps the period p of
-      each cell whose bytes repeat;
+      StepWork (at least one step size), through ``dynamics._final_states``.
+      That checks every cell for a byte repeat, keeps the period p of each
+      cell that repeats, writes its state at T - tail out at the step whose
+      phase matches, and drops a layer from the stack once all its cells
+      are written.  The divergence guard marks each cell that crosses it
+      after a step (once its layer leaves, a cell only repeats states
+      already checked); such a cell is zeroed at T - tail and after every
+      tail step;
     - the tail, the last min(tail, T) steps, steps each transient stack in
       blocks of consecutive step sizes whose two tail buffers hold at most
       2**16 values each, or one step size's n_inits * min(tail, T) when
@@ -330,16 +312,18 @@ def bifurcation_sweep(
     for s_lo in range(0, len(eta_grid), etas_per_stack):
         stack_etas = eta_grid[s_lo:s_lo + etas_per_stack]
         shape = (len(stack_etas), n_inits)
-        W_stack = np.broadcast_to(inits, shape + (d,)).copy()
-        work = StepWork(obj, W_stack.size // d)
         alive_stack = np.ones(shape, dtype=bool)
-        bits = _row_bits(W_stack.reshape(-1, d))   # a view: it follows the steps
-        repeats = _RepeatCheck(bits)
-        for u, _ in enumerate(_sweep_steps(obj, W_stack, stack_etas[:, None, None], work,
-                                           alive_stack, T - tail_steps), 1):
-            repeats(bits, u)
-        period_stack = repeats.period.reshape(shape)   # 0 where a cell never repeated
-        row_steps += len(bits) * (T - tail_steps)
+
+        def mark_diverged(W, layers):
+            if diverged(W):
+                alive_stack[layers] &= ~diverged(W, axis=-1)
+
+        W_stack, period_stack, taken = _final_states(
+            obj, np.broadcast_to(inits, shape + (d,)), stack_etas[:, None, None],
+            T - tail_steps, each_step=mark_diverged)
+        row_steps += taken
+        W_stack[~alive_stack] = 0.0        # frozen; excluded from reporting
+        work = StepWork(obj, min(len(stack_etas), etas_per_block) * n_inits)
         for lo in range(0, len(stack_etas), etas_per_block):
             etas = stack_etas[lo:lo + etas_per_block]
             W, alive = W_stack[lo:lo + len(etas)], alive_stack[lo:lo + len(etas)]
@@ -353,8 +337,15 @@ def bifurcation_sweep(
             tail_losses = np.empty((steps,) + alive.shape)
             tail_pn = np.empty((steps,) + alive.shape) if pn_row is not None else None
             tail_states = np.empty((steps,) + W.shape) if closed else None
-            for k, _ in enumerate(_sweep_steps(obj, W, etas[:, None, None], work, alive,
-                                               steps)):
+            eta_layers, dead = etas[:, None, None], ~alive
+            frozen = bool(dead.any())
+            for k in range(steps):
+                step_many(obj, W, eta_layers, work=work, out=W)
+                if diverged(W):
+                    dead |= diverged(W, axis=-1)
+                    frozen = True
+                if frozen:
+                    W[dead] = 0.0
                 tail_losses[k] = loss.f(W @ A.T) @ wts
                 if tail_pn is not None:
                     tail_pn[k] = sigmoid(W @ pn_row)
@@ -363,7 +354,7 @@ def bifurcation_sweep(
             row_steps += alive.size * steps
             for j, eta in enumerate(etas.tolist()):
                 for i in range(n_inits):
-                    if not alive[j, i]:
+                    if dead[j, i]:
                         cells.append(SweepCell(eta, i, np.array([]), float("nan"), True,
                                                np.array([]) if pn_row is not None else None))
                         continue
@@ -441,7 +432,7 @@ def basin_raster(
     cx = xmin + (np.arange(nx) + 0.5) * dx
     cy = ymin + (np.arange(ny) + 0.5) * dy
     X, Y = np.meshgrid(cx, cy)               # (ny, nx)
-    W, row_steps = _final_states(obj, np.column_stack([X.ravel(), Y.ravel()]), eta, T)
+    W, _, row_steps = _final_states(obj, np.column_stack([X.ravel(), Y.ravel()]), eta, T)
 
     tol = 1e-6 * (1.0 + float(np.linalg.norm(w_star)))
     d_star = np.linalg.norm(W - w_star, axis=1)

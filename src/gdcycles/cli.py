@@ -90,10 +90,11 @@ def _objective(args):
     return Objective(ds, get_loss(args.loss))
 
 
-def _outdir(path: Path | None) -> Path:
-    out = path or Path(".")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _write(path: Path, text: str):
+    """Write ``text`` to ``path``, making its directory first, so that a
+    command that fails before its first file leaves no directory behind."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
 
 
 def _parse_w0(text: str, dim: int) -> np.ndarray:
@@ -129,8 +130,8 @@ def _write_trajectory(out: Path, obj: Objective, cfg: GDConfig, sharpness: bool 
     """Run GD; trajectory.csv (t, loss, w, optional sharpness) and loss.svg."""
     traj = run(obj, cfg)
     sharp = sharpness_series(obj, traj) if sharpness else None
-    (out / "trajectory.csv").write_text(trajectory_to_csv(traj, sharpness=sharp))
-    (out / "loss.svg").write_text(svg.line_svg(
+    _write(out / "trajectory.csv", trajectory_to_csv(traj, sharpness=sharp))
+    _write(out / "loss.svg", svg.line_svg(
         traj.times, traj.losses, title="loss per iteration", xlabel="t", ylabel="loss"))
     return traj
 
@@ -138,8 +139,8 @@ def _write_trajectory(out: Path, obj: Objective, cfg: GDConfig, sharpness: bool 
 def _write_psd(out: Path, traj, window: int = 1024):
     """psd.csv and psd.svg: periodogram of the trajectory's loss tail."""
     res = psd(traj.dense_tail_losses(), window=window)
-    (out / "psd.csv").write_text(psd_to_csv(res))
-    (out / "psd.svg").write_text(svg.line_svg(
+    _write(out / "psd.csv", psd_to_csv(res))
+    _write(out / "psd.svg", svg.line_svg(
         res.freqs, res.power, title="loss power spectral density",
         xlabel="cycles per iteration", ylabel="power"))
     return res
@@ -150,18 +151,18 @@ def _write_sweep(out: Path, obj: Objective, grid, n_inits: int, T: int, seed: in
     """Step-size sweep: sweep.csv plus scatters of the final losses, the
     scaled sharpness and, with ``pn_group``, the probe probabilities."""
     sweep = bifurcation_sweep(obj, grid, n_inits=n_inits, T=T, seed=seed, pn_group=pn_group)
-    (out / "sweep.csv").write_text(sweep_to_csv(sweep))
+    _write(out / "sweep.csv", sweep_to_csv(sweep))
     live = [cell for cell in sweep.cells if not cell.diverged]
-    (out / "sweep_loss.svg").write_text(svg.scatter_svg(
+    _write(out / "sweep_loss.svg", svg.scatter_svg(
         [c.eta for c in live for _ in c.final_losses],
         [v for c in live for v in c.final_losses],
         title="final losses vs step size", xlabel="eta", ylabel="loss"))
-    (out / "sweep_sharpness.svg").write_text(svg.scatter_svg(
+    _write(out / "sweep_sharpness.svg", svg.scatter_svg(
         [c.eta for c in live], [c.scaled_sharpness for c in live],
         title="scaled sharpness vs step size", xlabel="eta",
         ylabel="eta*lambda_max/2"))
     if pn_group is not None:
-        (out / "sweep_pn.svg").write_text(svg.scatter_svg(
+        _write(out / "sweep_pn.svg", svg.scatter_svg(
             [c.eta for c in live for _ in c.final_pn],
             [v for c in live for v in c.final_pn],
             title="final probabilities vs step size", xlabel="eta", ylabel="p"))
@@ -181,8 +182,8 @@ def _write_basin(out: Path, obj: Objective, cfg: GDConfig, sol, bounds, resoluti
             f"no cycle found from w0={cfg.w0} (got {rep.kind}); basin needs both attractors"
         )
     raster = basin_raster(obj, traj.eta, bounds, resolution, (sol.w_star, rep.orbit), T=T)
-    (out / "basin.pgm").write_text(raster_to_pgm(raster))
-    (out / "basin_header.txt").write_text(raster_header(raster, gamma=gamma))
+    _write(out / "basin.pgm", raster_to_pgm(raster))
+    _write(out / "basin_header.txt", raster_header(raster, gamma=gamma))
     return rep, raster
 
 
@@ -198,8 +199,8 @@ def _write_eos(out: Path, recipe: Recipe1D, k: int, loss, iters: int, stack_iter
     traj = dataclasses.replace(traj, times=traj.times[start:],
                                iterates=traj.iterates[start:], losses=traj.losses[start:])
     sharp = sharpness_series(obj, traj)
-    (out / "eos_sharpness.csv").write_text(
-        trajectory_to_csv(traj, sharpness=sharp, include_w=False))
+    _write(out / "eos_sharpness.csv",
+           trajectory_to_csv(traj, sharpness=sharp, include_w=False))
     return eta, sharp
 
 
@@ -244,14 +245,13 @@ def cmd_solve(args) -> int:
         else:
             print(f"{key} = {format(val, '.17g')}")
     if args.out is not None:
-        out = _outdir(args.out)
-        (out / "solution.json").write_text(json.dumps(record, indent=2) + "\n")
+        _write(args.out / "solution.json", json.dumps(record, indent=2) + "\n")
     return EXIT_OK
 
 
 def cmd_trajectory(args) -> int:
     obj = _objective(args)
-    traj = _write_trajectory(_outdir(args.out), obj, _run_config(args, obj), args.sharpness)
+    traj = _write_trajectory(args.out or Path("."), obj, _run_config(args, obj), args.sharpness)
     if traj.diverged:
         print("diverged = 1")
         return EXIT_OK
@@ -275,7 +275,7 @@ def cmd_psd(args) -> int:
     obj = _objective(args)
     traj = run(obj, _run_config(args, obj))
     try:
-        res = _write_psd(_outdir(args.out), traj, args.window)
+        res = _write_psd(args.out or Path("."), traj, args.window)
     except ValueError as exc:  # window longer than the tail
         raise UsageError(str(exc)) from None
     top = int(np.argmax(res.power[1:]) + 1) if len(res.power) > 1 else 0
@@ -289,7 +289,7 @@ def cmd_bifurcate(args) -> int:
         raise UsageError("--eta-max must exceed --eta-min")
     try:
         grid = np.linspace(args.eta_min, args.eta_max, args.steps)
-        sweep = _write_sweep(_outdir(args.out), obj, grid, args.inits, args.iters, args.seed,
+        sweep = _write_sweep(args.out or Path("."), obj, grid, args.inits, args.iters, args.seed,
                              args.pn_group)
     except ValueError as exc:  # the step sizes, --steps, --inits, --iters or --pn-group
         raise UsageError(str(exc)) from None
@@ -306,7 +306,7 @@ def cmd_basin(args) -> int:
     cfg = _run_config(args, obj, sol)
     try:
         rep, raster = _write_basin(
-            _outdir(args.out), obj, cfg, sol, (args.xmin, args.xmax, args.ymin, args.ymax),
+            args.out or Path("."), obj, cfg, sol, (args.xmin, args.xmax, args.ymin, args.ymax),
             (args.nx, args.ny), args.basin_iters, gamma=args.gamma)
     except ValueError as exc:  # --nx, --ny, --basin-iters or the bounds out of range
         raise UsageError(str(exc)) from None
@@ -325,7 +325,7 @@ def cmd_eos(args) -> int:
         raise UsageError(f"recipe {args.recipe} lacks the key {exc}") from None
     except (TypeError, ValueError) as exc:  # invalid JSON or an out-of-range value
         raise UsageError(f"recipe {args.recipe}: {exc}") from None
-    eta, sharp = _write_eos(_outdir(args.out), recipe, args.k, get_loss(args.loss),
+    eta, sharp = _write_eos(args.out or Path("."), recipe, args.k, get_loss(args.loss),
                             args.iters, args.stack_iters, args.tail)
     print(f"eta = {format(eta, '.17g')}")
     print(f"two_over_eta = {format(2.0 / eta, '.17g')}")
@@ -344,7 +344,7 @@ def cmd_repro(args) -> int:
     # undetermined, positive-Lyapunov case
     for name in ("period4_1d", "period7_1d", "period37_1d", "period13_2d", "chaotic_1d"):
         obj, _, cfg, _ = _recipe_run(name, iters)
-        sub = _outdir(out / name)
+        sub = out / name
         traj = _write_trajectory(sub, obj, cfg)
         _write_psd(sub, traj)
         rep = detect_cycle(obj, traj)
@@ -355,20 +355,20 @@ def cmd_repro(args) -> int:
     obj, spec = _load_recipe("toy_n2")
     lo, hi, step = spec["eta_grid"]
     grid = np.round(np.arange(lo, hi + step / 2, step), 10)
-    sweep = _write_sweep(_outdir(out / "toy_sweep_n2"), obj, grid, 4,
+    sweep = _write_sweep(out / "toy_sweep_n2", obj, grid, 4,
                          4_000 if quick else 20_000, args.seed, spec["pn_group"])
     print(f"toy_sweep_n2: {len(sweep.cells)} cells")
 
     # basin raster for the co-stable two-dimensional example
     obj, sol, cfg, spec = _recipe_run("basin_2d", 60_000)
     res = 32 if quick else 64
-    rep, _ = _write_basin(_outdir(out / "basin_2d"), obj, cfg, sol, spec["bounds"],
+    rep, _ = _write_basin(out / "basin_2d", obj, cfg, sol, spec["bounds"],
                           (res, res), 1_000 if quick else 4_000, gamma=spec["gamma"])
     print(f"basin_2d: period={rep.period} grid={res}x{res}")
 
     # stacked period-4 example with sharpness pinned above 2/eta
     obj, spec = _load_recipe("period4_1d")
-    eta, sharp = _write_eos(_outdir(out / "eos_stacked"), _recipe_1d(spec), 4, obj.loss,
+    eta, sharp = _write_eos(out / "eos_stacked", _recipe_1d(spec), 4, obj.loss,
                             iters, 10_000 if quick else 30_000, 2048)
     print(f"eos_stacked: eta={eta:.6f} 2/eta={2 / eta:.6f} "
           f"tail sharpness={float(np.mean(sharp)):.6f}")

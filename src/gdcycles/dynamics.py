@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -66,13 +66,11 @@ def resolve_eta(
 
 @dataclass
 class GDConfig:
-    """Run configuration: step-size spec, length, and recording policy."""
+    """Run configuration: start, length, step size and recording policy."""
 
     w0: np.ndarray
     max_iters: int
-    eta: Optional[float] = None
-    gamma: Optional[float] = None
-    ref: str = "lambda"
+    eta: float
     record_every: int = 1
     tail_window: int = DEFAULT_TAIL_WINDOW
 
@@ -188,33 +186,33 @@ def step_many(obj: Objective, W: np.ndarray, eta: Union[float, np.ndarray], *,
 
 
 class _RepeatCheck:
-    """Brent's byte-repeat check (BIT 20, 1980) on a batch of float rows
+    """Brent's byte-repeat check (BIT 20, 1980) on a batch of float states
     that all start at t = 0: the batched form of the check ``run`` makes on
-    its one iterate.  The rows are passed as ``_row_bits`` gives them, their
-    int64 bit patterns, so that -0.0 and 0.0 differ and a NaN matches its
-    own bytes.
+    its one iterate.  The states, shape (..., d), are passed as their int64
+    bit patterns, so that -0.0 and 0.0 differ and a NaN matches its own
+    bytes.
 
-    The rows share the reference time r and its span, re-taken whenever
-    t - r reaches the span (which then doubles), and each row keeps its own
-    reference state w_r.  A row whose state at time u has the bytes of its
-    w_r is periodic from r on with period u - r (the map is a pure function
-    of a row's bits); ``period`` holds that period for each row, 0 for a
-    row that has not repeated.
+    The states share the reference time r and its span, re-taken whenever
+    t - r reaches the span (which then doubles), and each state keeps its
+    own reference w_r.  A state whose bytes at time u are those of its w_r
+    is periodic from r on with period u - r (the map is a pure function of
+    a state's bits); ``period``, in the batch's shape, holds that period
+    for each state, 0 for one that has not repeated.
     """
 
     def __init__(self, bits: np.ndarray):
         self.ref, self.r, self.span = bits.copy(), 0, 1
-        self.period = np.zeros(len(bits), dtype=np.int64)
-        self.open = np.ones(len(bits), dtype=bool)     # not repeated yet
+        self.period = np.zeros(bits.shape[:-1], dtype=np.int64)
+        self.open = np.ones(bits.shape[:-1], dtype=bool)   # not repeated yet
 
     def __call__(self, bits: np.ndarray, u: int) -> Optional[np.ndarray]:
-        """Check the rows' bits at time u: the mask of the rows that repeat
-        for the first time, or None when none does.  Then the reference
-        moves to u if its span is up."""
+        """Check the states' bits at time u: the mask of the states that
+        repeat for the first time, or None when none does.  Then the
+        reference moves to u if its span is up."""
         ref = self.ref
-        hit = bits[:, 0] == ref[:, 0]
-        for j in range(1, bits.shape[1]):  # column by column: np.all(axis=1) is slower
-            hit &= bits[:, j] == ref[:, j]
+        hit = bits[..., 0] == ref[..., 0]
+        for j in range(1, bits.shape[-1]):  # coordinate by coordinate: np.all is slower
+            hit &= bits[..., j] == ref[..., j]
         hit &= self.open
         found = np.count_nonzero(hit)      # on a few rows a third of hit.any()'s cost
         if found:
@@ -225,59 +223,66 @@ class _RepeatCheck:
         return hit if found else None
 
     def keep(self, rows: np.ndarray):
-        """Keep the state of the rows selected by ``rows`` only, as the batch
-        keeps those rows only."""
+        """Keep the entries of the batch's first axis that ``rows`` selects
+        only, as the batch keeps those entries only."""
         self.ref, self.period, self.open = self.ref[rows], self.period[rows], self.open[rows]
 
 
-def _final_states(obj: Objective, W: np.ndarray, eta: float, T: int):
-    """The rows of W, shape (n, d), after T steps of the GD map, each bit for
-    bit what stepping the whole batch T times gives; and the row-steps taken.
+def _final_states(obj: Objective, W: np.ndarray, eta: Union[float, np.ndarray], T: int,
+                  each_step: Optional[Callable[[np.ndarray, np.ndarray], None]] = None):
+    """The states of W after T steps of the GD map, each bit for bit what
+    stepping all of W T times gives; each state's float period (0 if its
+    bytes did not repeat); and the state-steps taken.
 
-    A row leaves the batch once its final state is known.  Each row is
-    checked for a byte repeat (``_RepeatCheck``); a row whose bytes at time
-    u repeat those of its reference w_r is periodic from r with period
-    p = u - r, so its state at T is the one at u + (T - u) % p; there it is
-    written out and dropped from the batch, and later steps act on fewer
-    rows.
+    W is an (n, d) batch, or an (s, n, d) stack whose layers each take their
+    own step size from an (s, 1, 1) ``eta``.  A state whose bytes at time u
+    repeat those of its reference w_r (``_RepeatCheck``) is periodic from r
+    with period p = u - r, so it is written out at step u + (T - u) % p; an
+    entry of the first axis (a row, a layer) leaves once all its states are
+    written.  A row's step does not depend on the other rows of a batch of
+    two or more, nor a layer's on the other layers, but a (1, d) batch goes
+    down a product path that rounds differently, so the first axis never
+    shrinks to one entry: a written entry rides along, stepped but unread.
 
-    A row's step does not depend on the other rows of a batch of two or
-    more, but a batch of one row, shape (1, d), goes down another product
-    path that rounds differently.  So the batch never shrinks to one row:
-    when one row would be left, a row already written stays with it,
-    stepped but never read.
+    ``each_step(W, entries)``, when given, reads the states after every step
+    and each entry's index in the first axis of the input.
     """
-    W = np.array(W, dtype=float, order="C")   # a copy, with its bits viewed per row
+    W = np.array(W, dtype=float, order="C")   # a copy, with its bits viewed in place
     out = W.copy()
-    rows = np.arange(len(W))               # each batch row's row in W
-    stop = np.full(len(W), T)              # when each batch row is written
-    todo = np.ones(len(W), dtype=bool)     # not written yet
-    repeats = _RepeatCheck(_row_bits(W))
-    first = T                              # the earliest stop of a row not written
+    period = np.zeros(W.shape[:-1], dtype=np.int64)
+    entries = np.arange(len(W))            # each batch entry's index in W
+    stop = np.full(W.shape[:-1], T)        # when each batch state is written
+    todo = np.ones(W.shape[:-1], dtype=bool)   # not written yet
+    repeats = _RepeatCheck(W.view(np.int64))
+    first = T                              # the earliest stop of a state not written
     row_steps = 0
-    work = StepWork(obj, len(W))           # re-cut by step_many as the batch shrinks
+    work = StepWork(obj, W.size // W.shape[-1])   # re-cut by step_many as the batch shrinks
     for u in range(1, T + 1):
         W = step_many(obj, W, eta, work=work, out=W)
-        row_steps += len(W)
+        row_steps += W.size // W.shape[-1]
+        if each_step is not None:
+            each_step(W, entries)
         hit = repeats(W.view(np.int64), u)
         if hit is not None:
             stop[hit] = u + (T - u) % repeats.period[hit]
             first = min(first, int(stop[hit].min()))
         if u < first:
             continue
-        done = todo & (stop == u)
-        out[rows[done]] = W[done]
-        todo &= ~done
-        keep = todo.copy()
+        at = np.nonzero(todo & (stop == u))
+        out_at = (entries[at[0]],) + at[1:]
+        out[out_at], period[out_at] = W[at], repeats.period[at]
+        todo[at] = False
+        keep = todo.any(axis=tuple(range(1, todo.ndim)))
         left = np.count_nonzero(keep)
         if left == 0:
             break
         if left == 1:
-            keep[np.argmin(todo)] = True   # a written row rides along
-        W, rows, stop, todo = (a[keep] for a in (W, rows, stop, todo))
+            keep[np.argmin(keep)] = True   # a written entry rides along
+        W, entries, stop, todo = (a[keep] for a in (W, entries, stop, todo))
+        eta = eta[keep] if np.ndim(eta) else eta
         repeats.keep(keep)
         first = int(stop[todo].min())
-    return out, row_steps
+    return out, period, row_steps
 
 
 def gd_step(obj: Objective, w: np.ndarray, eta: float) -> np.ndarray:
@@ -289,7 +294,7 @@ def gd_step(obj: Objective, w: np.ndarray, eta: float) -> np.ndarray:
     return out
 
 
-def run(obj: Objective, cfg: GDConfig, solution: Optional[Solution] = None) -> Trajectory:
+def run(obj: Objective, cfg: GDConfig) -> Trajectory:
     """Iterate the GD map for cfg.max_iters steps, recording per the config.
 
     Divergence (``objective.diverged``: sup-norm above 1e12, or NaN)
@@ -310,7 +315,7 @@ def run(obj: Objective, cfg: GDConfig, solution: Optional[Solution] = None) -> T
     recorded row by copying the state and loss of its phase.  The result is
     the one stepping to ``max_iters`` gives, bit for bit.
     """
-    eta = resolve_eta(cfg.eta, cfg.gamma, cfg.ref, solution)
+    eta = resolve_eta(cfg.eta)
     T = cfg.max_iters
     dense_from_t = max(0, T - cfg.tail_window + 1)
     t_all = np.arange(T + 1)

@@ -3,7 +3,7 @@
 The dynamics in this package only rely on a handful of structural facts about
 the per-example loss: strict convexity, vanishing left tail, derivative
 bounded by 1, and a second derivative that peaks at 0 and decays fast in the
-tails.  ``verify_assumption_profile`` certifies those facts on a grid; the two
+tails.  ``verify_assumption1`` certifies those facts on a grid; the two
 shipped losses (logistic and squareplus) both pass it.
 """
 

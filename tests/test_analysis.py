@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gdcycles as g
-from gdcycles import analysis
+from gdcycles import analysis, dynamics, objective
 from gdcycles.analysis import _CSV_BLOCK_ROWS, _dedup, sweep_to_csv
 from gdcycles.dynamics import Trajectory
 from gdcycles.losses import ScalarLoss, sigmoid
@@ -221,10 +221,10 @@ class TestDedup:
         assert len(out) == 3
 
 
-def plain_sweep_cells(obj, grid, n_inits, T, tail, seed, pn_group=None):
+def plain_sweep_cells(obj, grid, n_inits, T, tail, seed, pn_group=None, bound=1e12):
     """A sweep's cells as bytes, from a plain loop: each step size's
     (n_inits, d) layer stepped T times on its own, a cell frozen at zero
-    once its sup-norm passes 1e12 (or is NaN), and the tail losses and
+    once its sup-norm passes ``bound`` (or is NaN), and the tail losses and
     probes recorded at every one of the last min(tail, T) steps."""
     A, wts, scales = obj._A, obj._wts, analysis.DEFAULT_SCALES
     inits = np.random.default_rng(seed).standard_normal((n_inits, obj.dim)) * \
@@ -235,7 +235,7 @@ def plain_sweep_cells(obj, grid, n_inits, T, tail, seed, pn_group=None):
         losses, probes = [], []
         for t in range(1, T + 1):
             W = W - eta * ((obj.loss.d1(W @ A.T) * wts) @ A)
-            dead |= ~(np.abs(W).max(axis=1) <= 1e12)
+            dead |= ~(np.abs(W).max(axis=1) <= bound)
             W[dead] = 0.0
             if t > T - tail:
                 losses.append(obj.loss.f(W @ A.T) @ wts)
@@ -395,15 +395,20 @@ class TestBifurcationSweep:
     # below but for 8, which never repeats; "3 1 1 / 1 1 -1" (critical step size 32/3) with
     # periods 1, 2, 4 and 8 by step 1031, the cycle points of unequal
     # sharpness; under the exponential loss, toy n=2's large inits diverge by
-    # step 8 and the rest repeat with period 1 or 2 by step 65
+    # step 8 and the rest repeat with period 1 or 2 by step 65.  A transient
+    # layer leaves once all its cells are known, two at a time when only two
+    # are left, so row_steps sums each layer's transient steps, then each
+    # tail block's (n_inits cells per layer)
     PLAIN_LOOP_CASES = [
-        ("toy-n2-closed", 20 * (1500 - 256) + 20 * 2),
+        ("toy-n2-closed", 5 * (4 * 66 + 3 * 64 + 2 * 128) + 20 * 2),
         ("never-closing-8", 5 * 1500),
-        ("closed-and-open-blocks", 20 * (1500 - 256) + 8 * 2 + 8 * 256 + 4 * 2),
-        ("period-2-tail-1", 15 * 1500),
-        ("periods-1-to-8", 30 * (2100 - 1000) + 30 * 8),
-        ("diverging-in-transient", 14 * (200 - 100) + 14 * 2),
+        ("closed-and-open-blocks",
+         4 * (5 * 66 + 4 * 64 + 2 * 1114) + 8 * 2 + 8 * 256 + 4 * 2),
+        ("period-2-tail-1", 5 * (3 * 65 + 2 * 64) + 15 * 1),
+        ("periods-1-to-8", 5 * (6 * 68 + 5 * 60 + 4 * 4 + 3 * 126 + 2 * 778) + 30 * 8),
+        ("diverging-in-transient", 14 * 66 + 14 * 2),
         ("no-transient", 15 * 700),
+        ("stack-ends-before-its-transient", 3 * (3 * 66 + 2 * 64) + 9 * 2),
     ]
 
     @pytest.mark.parametrize("case,row_steps", PLAIN_LOOP_CASES,
@@ -435,6 +440,11 @@ class TestBifurcationSweep:
         elif case == "diverging-in-transient":
             obj = g.Objective(toy, exponential_loss())
             grid, kw = [1.0, 1.5], {"n_inits": 7, "T": 200, "tail": 100}
+        elif case == "stack-ends-before-its-transient":
+            # gdcycles bifurcate --eta-min 6 --eta-max 7 --steps 3 --inits 3
+            # --iters 2000: every cell repeats with period 2, and the stack
+            # steps 130 of its 976 transient steps
+            grid, kw = [6.0, 6.5, 7.0], {"n_inits": 3, "T": 2000, "tail": 1024}
         else:
             grid, kw["T"], kw["tail"] = [7.0, 8.0, 9.0], 700, 1024   # T <= tail
         with np.errstate(over="ignore", invalid="ignore"):
@@ -445,12 +455,29 @@ class TestBifurcationSweep:
         if case == "diverging-in-transient":
             assert 0 < sum(c.diverged for c in sweep.cells) < len(sweep.cells)
 
-    @pytest.mark.parametrize("seed", [0, 1, 7])
-    def test_step_many_calls_with_closed_blocks(self, monkeypatch, seed):
+    def test_guard_tripped_only_in_the_transient(self, monkeypatch):
+        # with the guard lowered to 100, the init near -553 trips it at
+        # step 1, then walks back (at most eta / 2 a step) to the fixed
+        # point 0 long before the tail, whose guard never trips: the cell
+        # must still be reported diverged
+        monkeypatch.setattr(objective, "DIVERGENCE_NORM", 100.0)
+        obj = g.Objective(g.make_toy(g.ToySpec(2, [1.0])), g.logistic())
+        kw = {"n_inits": 7, "T": 2000, "tail": 64}
+        sweep = g.bifurcation_sweep(obj, [2.0, 4.0], seed=5, **kw)
+        assert sweep_cell_bytes(sweep) == plain_sweep_cells(obj, [2.0, 4.0], seed=5, bound=100.0,
+                                                            **kw)
+        assert [c.diverged for c in sweep.cells] == 2 * ([False] * 6 + [True])
+
+    @pytest.mark.parametrize("seed,last_layers,row_steps", [
+        (0, 2, 170_560), (1, 2, 170_560), (7, 3, 189_368),
+    ], ids=["0", "1", "7"])
+    def test_step_many_calls_with_closed_blocks(self, monkeypatch, seed, last_layers, row_steps):
         # the benchmark's 61x4 toy sweep: one transient stack of 2976 steps,
-        # then four tail blocks of 16, 16, 16 and 13 step sizes; only the
-        # block holding 7.95 and 8.0 has cells that never repeat, and the
-        # others step one period, 2
+        # whose layers leave as their cells repeat until only those of 7.95
+        # and 8.0 (and 8.05 at seed 7), which never repeat, are left; then
+        # four tail blocks of 16, 16, 16 and 13 step sizes, of which only
+        # the one holding those layers steps its whole tail, and the others
+        # one period, 2
         obj = g.Objective(g.make_toy(g.ToySpec(2, [1.0])), g.logistic())
         calls = []
 
@@ -458,12 +485,13 @@ class TestBifurcationSweep:
             calls.append(args[1].shape)
             return g.step_many(*args, **kwargs)
 
-        monkeypatch.setattr(analysis, "step_many", counting)
+        for module in (analysis, dynamics):
+            monkeypatch.setattr(module, "step_many", counting)
         grid = np.round(np.arange(7.0, 10.0001, 0.05), 10)
         sweep = g.bifurcation_sweep(obj, grid, n_inits=4, T=4000, seed=seed, pn_group=1)
         assert len(calls) == 2976 + 1024 + 3 * 2 == 4006
-        assert calls.count((61, 4, 1)) == 2976
-        assert sweep.row_steps == 244 * 2976 + 64 * 1024 + (16 + 16 + 13) * 4 * 2 == 792_040
+        assert calls[0] == (61, 4, 1) and calls[2975] == (last_layers, 4, 1)
+        assert sweep.row_steps == sum(s * n for s, n, _ in calls) == row_steps
 
     @pytest.mark.parametrize("T,tail,stacks,blocks,widest", [
         (50, 8, 3, 3, 8),     # stacks of 8 step sizes, each one tail block
@@ -471,9 +499,9 @@ class TestBifurcationSweep:
         (30, 40, 3, 10, 2),   # T <= tail: no transient
     ])
     def test_step_many_calls(self, monkeypatch, T, tail, stacks, blocks, widest):
-        # (T - tail) steps per transient stack, then tail steps per block.
-        # 2**8 floats: 8 step sizes of 3 inits and 10 groups per stack, and
-        # 256 // (tail * 3) per block
+        # (T - tail) steps per transient stack, as no cell repeats in its
+        # transient, then tail steps per block.  2**8 floats: 8 step sizes
+        # of 3 inits and 10 groups per stack, and 256 // (tail * 3) per block
         obj = g.Objective(random_nonseparable(np.random.default_rng(4), 2), g.logistic())
         monkeypatch.setattr(analysis, "_SWEEP_BLOCK_FLOATS", 2**8)
         calls = []
@@ -482,7 +510,8 @@ class TestBifurcationSweep:
             calls.append(args[1].shape)
             return g.step_many(*args, **kwargs)
 
-        monkeypatch.setattr(analysis, "step_many", counting)
+        for module in (analysis, dynamics):
+            monkeypatch.setattr(module, "step_many", counting)
         grid = np.linspace(0.5, 1.5, 20) * g.minimize(obj).eta_two_lambda
         g.bifurcation_sweep(obj, grid, n_inits=3, T=T, tail=tail)
         assert len(calls) == max(0, T - tail) * stacks + min(T, tail) * blocks

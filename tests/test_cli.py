@@ -128,15 +128,16 @@ class TestBifurcate:
         assert len(lines) == 3  # header + 2 cells, one loss each
 
     def test_prints_row_steps(self, capsys, toy2_file, tmp_path):
-        # every cell of 6, 6.5 and 7 repeats with period 2 in the 976-step
-        # transient, so the one tail block steps 2 steps, not 1024
+        # every cell of 6, 6.5 and 7 repeats with period 2 early in the
+        # 976-step transient: one layer leaves after 66 steps and the
+        # other two after 130, and the one tail block steps 2 steps, not 1024
         code, out, _ = run_cli(
             capsys, "bifurcate", "--data", str(toy2_file),
             "--eta-min", "6.0", "--eta-max", "7.0", "--steps", "3",
             "--inits", "3", "--iters", "2000", "--seed", "7", "--out", str(tmp_path / "s"))
         assert code == 0
         assert "cells = 9\n" in out
-        assert f"row_steps = {9 * (2000 - 1024) + 9 * 2}\n" in out
+        assert f"row_steps = {3 * (3 * 66 + 2 * 64) + 9 * 2}\n" in out
 
     def test_rerun_byte_identical(self, capsys, toy2_file, tmp_path):
         args = ["bifurcate", "--data", str(toy2_file), "--eta-min", "6.0",
@@ -326,6 +327,20 @@ class TestUsageErrors:
             "--w0", "1", "--window", window, "--out", str(tmp_path / "out"))
         assert code == 1
         assert err == f"error: window must be a power of two, got {window}\n"
+
+    @pytest.mark.parametrize("data,argv", [
+        ("toy_n2.cds", ["bifurcate", "--eta-min", "6", "--eta-max", "9", "--steps", "0"]),
+        ("toy_n2.cds", ["trajectory", "--eta", "1", "--w0", "nan"]),
+        ("basin_2d.cds", ["basin", "--gamma", "0.95", "--w0", "15,4", "--nx", "0"]),
+        ("toy_n2.cds", ["psd", "--eta", "1", "--w0", "1"]),    # window 1024 > 101 states
+    ], ids=["bifurcate-no-steps", "trajectory-nan-w0", "basin-nx-0",
+            "psd-window-longer-than-tail"])
+    def test_failed_command_makes_no_out_dir(self, capsys, tmp_path, data, argv):
+        # --out is made just before the first file is written
+        code, _, err = run_cli(capsys, *argv, "--data", str(RECIPES / data), "--iters", "100",
+                               "--out", str(tmp_path / "out" / "nested"))
+        assert code == 1 and err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text", [
         '{"m": 250, "n": 200, "x_big": 20.0, "b": 6, "gamma": 2.5, "w0": 10.0}',

@@ -249,13 +249,19 @@ class TestRun:
             assert traj.losses[i] == pytest.approx(obj.value(traj.iterates[i]), abs=1e-12)
 
     def test_gamma_resolution_needs_solution(self):
-        obj = toy3_objective()
-        cfg = g.GDConfig(w0=[1.0], max_iters=10, gamma=0.5)
-        with pytest.raises(ValueError):
-            g.run(obj, cfg)
-        sol = g.minimize(obj)
-        traj = g.run(obj, cfg, solution=sol)
-        assert traj.eta == pytest.approx(0.5 / sol.lambda_star)
+        with pytest.raises(ValueError, match="need a Solution"):
+            g.resolve_eta(gamma=0.5)
+        sol = g.minimize(toy3_objective())
+        assert g.resolve_eta(gamma=0.5, solution=sol) == 0.5 / sol.lambda_star
+        assert g.resolve_eta(gamma=0.5, ref="two-L", solution=sol) == 0.5 * sol.eta_two_L
+        with pytest.raises(ValueError, match="ref must be"):
+            g.resolve_eta(gamma=0.5, ref="L", solution=sol)
+
+    def test_step_size_is_required(self):
+        with pytest.raises(TypeError):
+            g.GDConfig(w0=[1.0], max_iters=10)
+        with pytest.raises(ValueError, match="positive finite"):
+            g.run(toy3_objective(), g.GDConfig(w0=[1.0], max_iters=10, eta=-1.0))
 
     def test_eta_xor_gamma(self):
         with pytest.raises(ValueError):
@@ -451,21 +457,25 @@ class TestPeriodicFill:
 
 
 def _stepped_batch(obj, W, eta, T):
-    """W after T steps of the whole batch: the loop _final_states replaces."""
-    for _ in range(T):
+    """W after T steps of the whole batch or stack, the loop _final_states
+    replaces, and each state's period from Brent's check on that loop."""
+    repeats = _RepeatCheck(W.view(np.int64))
+    for u in range(1, T + 1):
         W = g.step_many(obj, W, eta)
-    return W
+        repeats(W.view(np.int64), u)
+    return W, repeats.period
 
 
-def _assert_final_states_are_stepping(obj, W, eta, T):
+def _assert_final_states_are_stepping(obj, W, eta, T, each_step=None):
     """_final_states equals stepping the whole batch T times, by int64 bit
-    patterns (so -0.0 is not 0.0 and a NaN must keep its bytes); returns the
-    row-steps it took."""
+    patterns (so -0.0 is not 0.0 and a NaN must keep its bytes), and finds
+    the same periods; returns the state-steps it took."""
     W = np.array(W, dtype=float)
-    out, row_steps = _final_states(obj, W, eta, T)
-    want = _stepped_batch(obj, W, eta, T)
+    out, period, row_steps = _final_states(obj, W, eta, T, each_step)
+    want, want_period = _stepped_batch(obj, W, eta, T)
     np.testing.assert_array_equal(out.view(np.int64), want.view(np.int64))
-    assert row_steps <= len(W) * T
+    np.testing.assert_array_equal(period, want_period)
+    assert row_steps <= W.size // W.shape[-1] * T
     return row_steps
 
 
@@ -540,6 +550,79 @@ class TestFinalStates:
             for T in (1, 2, 3, 100):
                 steps = _assert_final_states_are_stepping(obj, W, 1e308, T)
         assert steps == 4 * len(W)
+
+
+def _toy_n2_stack(etas, n_inits=4):
+    """toy n=2 under the logistic loss as an (etas, n_inits, 1) stack of
+    the same spread of inits, with its (etas, 1, 1) step sizes: below 8
+    every state repeats with float period 2 within 260 steps, at 8 none
+    does within 2000."""
+    obj = g.Objective(g.make_toy(g.ToySpec(2, [1.0])), g.logistic())
+    inits = np.geomspace(1e-3, 1e2, n_inits)[:, None] * (-1.0) ** np.arange(n_inits)[:, None]
+    W = np.broadcast_to(inits, (len(etas), n_inits, 1)).copy()
+    return obj, W, np.array(etas, dtype=float)[:, None, None]
+
+
+class TestFinalStatesOnStacks:
+    """_final_states on (s, n, d) stacks, one step size per layer: a layer
+    leaves once all its states are written, never leaving one layer alone."""
+
+    @pytest.mark.parametrize("T", [0, 1, 65, 66, 67, 129, 130, 131, 300, 2000])
+    def test_per_layer_step_sizes(self, T):
+        obj, W, etas = _toy_n2_stack([6.0, 7.0, 7.5, 8.0, 9.0, 10.0])
+        steps = _assert_final_states_are_stepping(obj, W, etas, T)
+        if T == 2000:
+            assert steps < W.size * T
+
+    def test_distinct_inits_per_layer(self):
+        obj, eta, _ = _recipe("basin_2d", "logistic")
+        W = np.random.default_rng(2).uniform(-10, 30, (5, 7, 2))
+        etas = eta * np.array([0.5, 0.8, 0.9, 1.0, 1.05])[:, None, None]
+        assert _assert_final_states_are_stepping(obj, W, etas, 1200) < W.size // 2 * 1200
+
+    def test_layers_leave_at_different_steps(self):
+        obj, W, etas = _toy_n2_stack([6.0, 7.0, 7.5, 9.0, 10.0])
+        seen = []
+        steps = _assert_final_states_are_stepping(
+            obj, W, etas, 2000, lambda W, layers: seen.append(len(layers)))
+        # 5 layers, then fewer, until the last two leave together
+        assert seen[0] == 5 and seen[-1] == 2 and len(set(seen)) >= 3
+        assert seen == sorted(seen, reverse=True) and len(seen) < 2000
+        assert steps == 4 * sum(seen)
+
+    def test_last_open_layer_rides_along(self):
+        # the layers of 7 and 7.5 are written long before T, but the layer
+        # of 8 never repeats: one written layer keeps stepping beside it
+        obj, W, etas = _toy_n2_stack([7.0, 7.5, 8.0])
+        seen = []
+        T = 1000
+        steps = _assert_final_states_are_stepping(
+            obj, W, etas, T, lambda W, layers: seen.append(layers.tolist()))
+        assert len(seen) == T and seen[0] == [0, 1, 2]
+        assert seen[-1] in ([0, 2], [1, 2]) and min(map(len, seen)) == 2
+        assert steps == 4 * sum(map(len, seen)) < W.size * T
+
+    def test_no_steps(self):
+        obj, W, etas = _toy_n2_stack([7.0, 8.0])
+        out, period, row_steps = _final_states(obj, W, etas, 0, lambda *_: pytest.fail())
+        assert out.tobytes() == W.tobytes() and out is not W
+        assert not period.any() and row_steps == 0
+
+    def test_each_step_sees_every_stepped_state_once_a_step(self):
+        obj, W, etas = _toy_n2_stack([6.0, 7.0, 8.0, 9.0, 10.0])
+        seen = []
+        T = 300
+        _, _, row_steps = _final_states(
+            obj, W, etas, T, lambda W, layers: seen.append((W.copy(), layers.copy())))
+        want = W
+        for k, (got, layers) in enumerate(seen):
+            want = g.step_many(obj, want, etas)
+            # the states after step k + 1 of the layers still stepped, each once
+            assert len(np.unique(layers)) == len(layers)
+            assert k == 0 or set(layers) <= set(seen[k - 1][1])
+            np.testing.assert_array_equal(got.view(np.int64), want[layers].view(np.int64))
+        assert 0 < len(seen) <= T
+        assert row_steps == sum(got.size for got, _ in seen)
 
 
 def _sources_by_scan(times, closed_at, period, columns):

@@ -36,3 +36,25 @@ def test_divergence_norm_read_only_by_the_guard(path):
         assert lines, "objective.py no longer defines the divergence bound"
     else:
         assert not lines, f"{path.name} reads DIVERGENCE_NORM on lines {lines}"
+
+
+def _names_repeat_check(node) -> bool:
+    if isinstance(node, ast.Name):
+        return node.id == "_RepeatCheck"
+    if isinstance(node, ast.Attribute):
+        return node.attr == "_RepeatCheck"
+    if isinstance(node, ast.ImportFrom):
+        return any(alias.name == "_RepeatCheck" for alias in node.names)
+    return False
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_repeat_check_only_in_the_orbit_driver(path):
+    # dynamics._final_states is the one batched loop that checks orbits for
+    # a byte repeat; any other user of the check is a second such loop
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if _names_repeat_check(node)]
+    if path.name == "dynamics.py":
+        assert lines, "dynamics.py no longer defines the repeat check"
+    else:
+        assert not lines, f"{path.name} names _RepeatCheck on lines {lines}"
