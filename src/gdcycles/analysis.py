@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .certify import trap_balls
 from .dynamics import (
     StepWork,
     Trajectory,
@@ -254,8 +255,9 @@ def bifurcation_sweep(
       phase matches, and drops a layer from the stack once all its cells
       are written.  The divergence guard marks each cell that crosses it
       after a step (once its layer leaves, a cell only repeats states
-      already checked); such a cell is zeroed at T - tail and after every
-      tail step;
+      already checked) and settles it, so ``_final_states`` writes it at
+      once rather than stepping it on through inf to NaN; such a cell is
+      zeroed at T - tail and after every tail step;
     - the tail, the last min(tail, T) steps, steps each transient stack in
       blocks of consecutive step sizes whose two tail buffers hold at most
       2**16 values each, or one step size's n_inits * min(tail, T) when
@@ -316,7 +318,10 @@ def bifurcation_sweep(
 
         def mark_diverged(W, layers):
             if diverged(W):
-                alive_stack[layers] &= ~diverged(W, axis=-1)
+                gone = diverged(W, axis=-1)
+                alive_stack[layers] &= ~gone
+                return gone                # settled: retired from the transient
+            return None
 
         W_stack, period_stack, taken = _final_states(
             obj, np.broadcast_to(inits, shape + (d,)), stack_etas[:, None, None],
@@ -383,6 +388,7 @@ class BasinRaster:
     w_star: np.ndarray
     orbit: np.ndarray
     row_steps: int                # GD row-steps taken, at most nx * ny * T
+    stops: dict                   # cells that stopped "repeated", "trapped" or at the "horizon"
 
 
 def check_raster(bounds, resolution, T: int):
@@ -399,6 +405,81 @@ def check_raster(bounds, resolution, T: int):
     return (xmin, xmax, ymin, ymax), (nx, ny)
 
 
+# Trap balls are tried at these multiples of the label tolerance, smallest
+# first, up to the first that is refused or needs the whole horizon.
+_TRAP_RADII = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0)
+# The raster checks its cells against the trap balls every this many steps,
+# at most this many cells at a time.
+_TRAP_EVERY = 16
+_TRAP_BLOCK_ROWS = 4096
+
+
+def _trap_ladder(obj: Objective, eta: float, points: np.ndarray, tol: float, T: int) -> list:
+    """(radius, steps) of each certified trap ball around ``points``, a
+    periodic orbit, smallest first: a state within radius of an orbit point
+    with at least ``steps`` steps to go ends within tol / 2 of the orbit."""
+    ladder = []
+    for ball in trap_balls(obj, eta, points, tol * np.asarray(_TRAP_RADII), tol / 2.0):
+        steps = None if ball is None else ball.steps_within(tol / 2.0)
+        if steps is None or steps >= T:
+            break
+        ladder.append((ball.radius, steps))
+    return ladder
+
+
+def _trap_check(attractors, T: int, trapped: np.ndarray):
+    """The ``each_step`` hook of a raster that labels a cell once a trap
+    ball holds it.  ``attractors`` is a list of (label, points, ladder);
+    every ``_TRAP_EVERY`` steps, a cell within the largest radius of an
+    attractor's ladder whose steps still fit before T is settled and its
+    label written into ``trapped`` (indexed by cell), unless one is there.
+
+    The squared distances are |w|^2 - 2 w.o + |o|^2, one matrix product
+    per block of cells; a cell passes when that is at most r^2 less a
+    margin for its rounding.  The margin covers cells with |w| < 2R, R the
+    largest |o| plus radius, and a cell further out is further than R from
+    every point, so it cannot pass."""
+    points = np.vstack([pts for _, pts, _ in attractors])
+    ends = np.cumsum([len(pts) for _, pts, _ in attractors])
+    B = -2.0 * points                      # exact: a power of two
+    oo = np.einsum("ij,ij->i", points, points)[:, None]
+    R = float(np.sqrt(oo.max())) + max(ladder[-1][0] for _, _, ladder in attractors)
+    margin = 32 * np.finfo(float).eps * (3.0 * R) ** 2
+    buf = np.empty(_TRAP_BLOCK_ROWS * len(points))
+    u = 0
+
+    def settle(W, cells):
+        nonlocal u
+        u += 1
+        if u % _TRAP_EVERY:
+            return None
+        # each attractor's largest radius whose steps fit before T
+        thr = [max((r * r - margin for r, steps in ladder if steps <= T - u), default=0.0)
+               for _, _, ladder in attractors]
+        if max(thr) <= 0.0:
+            return None
+        label = np.full(len(W), -1, dtype=np.int8)
+        for lo in range(0, len(W), _TRAP_BLOCK_ROWS):
+            blk = W[lo:lo + _TRAP_BLOCK_ROWS]
+            # one row per point, one column per cell
+            D = np.matmul(B, blk.T, out=buf[:len(points) * len(blk)].reshape(len(points), -1))
+            D += oo
+            w2 = np.einsum("ij,ij->i", blk, blk)
+            for (lab, pts, _), end, t in zip(attractors, ends, thr):
+                if t > 0.0:
+                    near = np.minimum.reduce(D[end - len(pts):end], axis=0)
+                    label[lo:lo + len(blk)][near + w2 <= t] = lab
+        hit = label >= 0
+        if not hit.any():
+            return None
+        new = cells[hit]
+        fresh = trapped[new] < 0
+        trapped[new[fresh]] = label[hit][fresh]
+        return hit
+
+    return settle
+
+
 def basin_raster(
     obj: Objective,
     eta: float,
@@ -409,16 +490,31 @@ def basin_raster(
 ) -> BasinRaster:
     """Label each grid-cell center by the attractor GD reaches from it.
 
-    ``refs`` is (w_star, orbit).  After T steps a cell is to_fixed_point if
-    the final point lies within 1e-6 * (1 + |w*|) of w*, to_cycle if within
-    the same tolerance of any orbit point, and other if neither.
+    ``refs`` is (w_star, orbit): a finite vector of shape (2,) and a
+    nonempty finite (k, 2) array.  After T steps a cell is to_fixed_point
+    if the final point lies within tol = 1e-6 * (1 + |w*|) of w*, to_cycle
+    if within tol of any orbit point, and other if neither.
 
-    A cell stops being stepped as soon as its state at T is known exactly:
-    once its bytes repeat, it is written out at the step whose phase matches
-    T and leaves the batch (``dynamics._final_states``).  The batch never
-    shrinks to one row, which numpy multiplies by a path that rounds
-    differently, so every final state is bit for bit the one stepping all
-    cells T times gives.  ``row_steps`` counts the row-steps taken.
+    A cell stops being stepped as soon as its label is known:
+
+    - ``repeated``: once its bytes repeat, its state at T is known exactly;
+      it is written out at the step whose phase matches T and leaves the
+      batch (``dynamics._final_states``).  The batch never shrinks to one
+      row, which numpy multiplies by a path that rounds differently, so
+      every final state is bit for bit the one stepping all cells T times
+      gives;
+    - ``trapped``: every 16 steps, a cell inside a certified trap ball
+      (``certify.trap_balls``) of w* or of the orbit taken in its order, from
+      which the certificate bounds its distance at T below tol / 2, is
+      labelled by that attractor and leaves.  Balls of 2 to 1024 times tol
+      are tried, and a ball of radius r is used only from the step at which
+      the bound from r holds at T.  The orbit's balls are not used when an
+      orbit point lies within 2 tol of w*, where both labels could match;
+    - ``horizon``: any other cell is stepped to T.
+
+    So every label is the one stepping all cells T times gives.
+    ``row_steps`` counts the row-steps taken and ``stops`` the cells that
+    stopped each way.
     """
     if obj.dim != 2:
         raise ValueError("basin rasterization is defined for d=2 only")
@@ -426,25 +522,49 @@ def basin_raster(
     w_star, orbit = refs
     w_star = np.asarray(w_star, dtype=float)
     orbit = np.atleast_2d(np.asarray(orbit, dtype=float))
+    if w_star.shape != (2,) or not np.all(np.isfinite(w_star)):
+        raise ValueError(f"w_star must be a finite vector of shape (2,), got {w_star!r}")
+    if orbit.ndim != 2 or orbit.shape[1] != 2 or len(orbit) == 0 \
+            or not np.all(np.isfinite(orbit)):
+        raise ValueError(f"orbit must be a nonempty finite (k, 2) array, got {orbit!r}")
 
     dx = (xmax - xmin) / nx
     dy = (ymax - ymin) / ny
     cx = xmin + (np.arange(nx) + 0.5) * dx
     cy = ymin + (np.arange(ny) + 0.5) * dy
     X, Y = np.meshgrid(cx, cy)               # (ny, nx)
-    W, _, row_steps = _final_states(obj, np.column_stack([X.ravel(), Y.ravel()]), eta, T)
 
     tol = 1e-6 * (1.0 + float(np.linalg.norm(w_star)))
-    d_star = np.linalg.norm(W - w_star, axis=1)
+    attractors = [(LABEL_TO_FIXED_POINT, w_star[None, :],
+                   _trap_ladder(obj, eta, w_star[None, :], tol, T))]
+    if np.min(np.linalg.norm(orbit - w_star, axis=1)) > 2.0 * tol:
+        attractors.append((LABEL_TO_CYCLE, orbit, _trap_ladder(obj, eta, orbit, tol, T)))
+    attractors = [a for a in attractors if a[2]]
+    trapped = np.full(nx * ny, -1, dtype=np.int8)   # the label a trap ball gave
+    W, period, row_steps = _final_states(
+        obj, np.column_stack([X.ravel(), Y.ravel()]), eta, T,
+        each_step=_trap_check(attractors, T, trapped) if attractors else None)
+
+    # a written cell that rode along may have been trapped too; its state at
+    # T labels it
+    by_trap = (trapped >= 0) & (period == 0)
+    labels = trapped.copy()
+    stepped = ~by_trap
+    Ws = W[stepped]
+    d_star = np.linalg.norm(Ws - w_star, axis=1)
     d_orbit = np.min(
-        np.linalg.norm(W[:, None, :] - orbit[None, :, :], axis=2), axis=1
+        np.linalg.norm(Ws[:, None, :] - orbit[None, :, :], axis=2), axis=1
     )
-    labels = np.full(W.shape[0], LABEL_OTHER, dtype=np.int8)
-    labels[d_orbit < tol] = LABEL_TO_CYCLE
-    labels[d_star < tol] = LABEL_TO_FIXED_POINT
+    own = np.full(len(Ws), LABEL_OTHER, dtype=np.int8)
+    own[d_orbit < tol] = LABEL_TO_CYCLE
+    own[d_star < tol] = LABEL_TO_FIXED_POINT
+    labels[stepped] = own
+    n_repeated, n_trapped = int(np.count_nonzero(period)), int(np.count_nonzero(by_trap))
+    stops = {"repeated": n_repeated, "trapped": n_trapped,
+             "horizon": nx * ny - n_repeated - n_trapped}
     return BasinRaster(
         (xmin, xmax, ymin, ymax), (nx, ny), labels.reshape(ny, nx),
-        float(eta), w_star, orbit, row_steps,
+        float(eta), w_star, orbit, row_steps, stops,
     )
 
 
@@ -563,9 +683,9 @@ def raster_to_pgm(raster: BasinRaster) -> str:
     """ASCII PGM (P2), values 0=other, 128=to_cycle, 255=to_fixed_point.
     Rows are written top-down (largest y first)."""
     nx, ny = raster.resolution
+    text = np.array([str(_PGM_VALUES[k]) for k in range(len(_PGM_VALUES))])
     lines = ["P2", f"{nx} {ny}", "255"]
-    for j in range(ny - 1, -1, -1):
-        lines.append(" ".join(str(_PGM_VALUES[int(v)]) for v in raster.labels[j]))
+    lines += map(" ".join, text[raster.labels[::-1]].tolist())
     return "\n".join(lines) + "\n"
 
 

@@ -312,6 +312,8 @@ def cmd_basin(args) -> int:
         raise UsageError(str(exc)) from None
     print(f"cycle_period = {rep.period}")
     print(f"row_steps = {raster.row_steps}")
+    for how, cells in raster.stops.items():
+        print(f"cells_{how} = {cells}")
     for key, label in (("to_fixed_point", LABEL_TO_FIXED_POINT), ("to_cycle", LABEL_TO_CYCLE),
                        ("other", LABEL_OTHER)):
         print(f"frac_{key} = {np.mean(raster.labels == label):.6f}")

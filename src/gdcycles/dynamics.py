@@ -222,6 +222,12 @@ class _RepeatCheck:
             self.ref, self.r, self.span = bits.copy(), u, 2 * self.span
         return hit if found else None
 
+    def settle(self, states: np.ndarray):
+        """Check the states that the mask ``states`` selects no more, and
+        read their periods as 0."""
+        self.open &= ~states
+        self.period[states] = 0
+
     def keep(self, rows: np.ndarray):
         """Keep the entries of the batch's first axis that ``rows`` selects
         only, as the batch keeps those entries only."""
@@ -229,10 +235,11 @@ class _RepeatCheck:
 
 
 def _final_states(obj: Objective, W: np.ndarray, eta: Union[float, np.ndarray], T: int,
-                  each_step: Optional[Callable[[np.ndarray, np.ndarray], None]] = None):
+                  each_step: Optional[Callable[[np.ndarray, np.ndarray],
+                                               Optional[np.ndarray]]] = None):
     """The states of W after T steps of the GD map, each bit for bit what
     stepping all of W T times gives; each state's float period (0 if its
-    bytes did not repeat); and the state-steps taken.
+    bytes did not repeat, or if it was settled); and the state-steps taken.
 
     W is an (n, d) batch, or an (s, n, d) stack whose layers each take their
     own step size from an (s, 1, 1) ``eta``.  A state whose bytes at time u
@@ -245,7 +252,12 @@ def _final_states(obj: Objective, W: np.ndarray, eta: Union[float, np.ndarray], 
     shrinks to one entry: a written entry rides along, stepped but unread.
 
     ``each_step(W, entries)``, when given, reads the states after every step
-    and each entry's index in the first axis of the input.
+    and each entry's index in the first axis of the input.  It returns None,
+    or a boolean mask in W's batch shape of the states it has settled: those
+    not written yet are written out as they stand after that step, with
+    period 0, are checked for repeats no more, and leave as written states
+    do.  A settled state is not its state at T: the caller that settles it
+    keeps what it knows of it.
     """
     W = np.array(W, dtype=float, order="C")   # a copy, with its bits viewed in place
     out = W.copy()
@@ -260,15 +272,20 @@ def _final_states(obj: Objective, W: np.ndarray, eta: Union[float, np.ndarray], 
     for u in range(1, T + 1):
         W = step_many(obj, W, eta, work=work, out=W)
         row_steps += W.size // W.shape[-1]
-        if each_step is not None:
-            each_step(W, entries)
+        done = None if each_step is None else each_step(W, entries)
+        if done is not None:
+            done = done & todo
+            repeats.settle(done)
         hit = repeats(W.view(np.int64), u)
         if hit is not None:
             stop[hit] = u + (T - u) % repeats.period[hit]
             first = min(first, int(stop[hit].min()))
-        if u < first:
+        if u >= first:
+            due = todo & (stop == u)
+            done = due if done is None else done | due
+        if done is None or not done.any():
             continue
-        at = np.nonzero(todo & (stop == u))
+        at = np.nonzero(done)
         out_at = (entries[at[0]],) + at[1:]
         out[out_at], period[out_at] = W[at], repeats.period[at]
         todo[at] = False

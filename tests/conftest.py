@@ -260,3 +260,23 @@ def cycle13():
 @pytest.fixture(scope="session")
 def basin_cycle():
     return run_recipe_2d(RECIPE_BASIN, iters=100_000)
+
+
+# basin_2d's step sizes, as multiples of 1/lambda, at which each loss has
+# both w* and a period-13 cycle attracting: under squareplus the cycle's
+# one-period Jacobian product has complex eigenvalues and a norm above 1
+BASIN_GAMMAS = {"logistic": 0.95, "squareplus": 1.05}
+
+
+@functools.cache
+def basin_attractors(loss):
+    """basin_2d's objective under ``loss``, its minimizer, the step size of
+    BASIN_GAMMAS and the period-13 orbit from w0 = (15, 4), found as the
+    benchmark finds it: ``detect_cycle`` on an 8192-step run."""
+    obj, _ = _load_recipe("basin_2d")
+    obj = g.Objective(obj.ds, g.get_loss(loss))
+    sol = g.minimize(obj)
+    eta = BASIN_GAMMAS[loss] / sol.lambda_star
+    rep = g.detect_cycle(obj, g.run(obj, g.GDConfig(w0=[15.0, 4.0], max_iters=8192, eta=eta)))
+    assert (rep.kind, rep.period) == ("cycle", 13)
+    return obj, sol, eta, rep.orbit

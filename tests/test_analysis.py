@@ -1,6 +1,7 @@
 """Cycle detection, periodograms, sweeps, basins, and sharpness series."""
 
 import dataclasses
+import functools
 import math
 import tracemalloc
 
@@ -15,7 +16,8 @@ from gdcycles.analysis import _CSV_BLOCK_ROWS, _dedup, sweep_to_csv
 from gdcycles.dynamics import Trajectory
 from gdcycles.losses import ScalarLoss, sigmoid
 from gdcycles.objective import lambda_max
-from conftest import RECIPE_P7, RECIPE_P13, closure_run, random_nonseparable, slice_starts
+from conftest import (RECIPE_P7, RECIPE_P13, basin_attractors, closure_run,
+                      random_nonseparable, slice_starts)
 
 
 def toy3_objective():
@@ -409,6 +411,12 @@ class TestBifurcationSweep:
         ("diverging-in-transient", 14 * 66 + 14 * 2),
         ("no-transient", 15 * 700),
         ("stack-ends-before-its-transient", 3 * (3 * 66 + 2 * 64) + 9 * 2),
+        # exponential-loss toy n=2 past eta = 2: every cell but one diverges,
+        # the larger inits first; a diverged cell leaves the transient at
+        # once, so a layer leaves when its last cell diverges (stepping
+        # diverged cells on through inf to NaN would take 7 * (16 * 10 + 4 * 4))
+        ("diverged-cells-leave-the-transient",
+         7 * (10 * 10 + 8 + 7 + 6 + 5 + 4 + 4 + 3 + 3 + 3 + 2) + 70 * 20),
     ]
 
     @pytest.mark.parametrize("case,row_steps", PLAIN_LOOP_CASES,
@@ -440,6 +448,9 @@ class TestBifurcationSweep:
         elif case == "diverging-in-transient":
             obj = g.Objective(toy, exponential_loss())
             grid, kw = [1.0, 1.5], {"n_inits": 7, "T": 200, "tail": 100}
+        elif case == "diverged-cells-leave-the-transient":
+            obj = g.Objective(toy, exponential_loss())
+            grid, kw = np.linspace(2.2, 4.0, 10), {"n_inits": 7, "T": 40, "tail": 20}
         elif case == "stack-ends-before-its-transient":
             # gdcycles bifurcate --eta-min 6 --eta-max 7 --steps 3 --inits 3
             # --iters 2000: every cell repeats with period 2, and the stack
@@ -572,6 +583,27 @@ class TestBasinRaster:
         with pytest.raises(ValueError):
             g.basin_raster(obj, 1.0, bounds, resolution, (np.zeros(2), np.zeros((1, 2))), T=T)
 
+    @pytest.mark.parametrize("w_star,orbit", [
+        ([np.nan, 0.0], [[1.0, 1.0]]),
+        ([np.inf, 0.0], [[1.0, 1.0]]),
+        ([0.0, 0.0, 0.0], [[1.0, 1.0]]),
+        ([0.0], [[1.0, 1.0]]),
+        ([0.0, 0.0], [[1.0, np.inf]]),
+        ([0.0, 0.0], [[1.0, 1.0], [np.nan, 2.0]]),
+        ([0.0, 0.0], np.zeros((0, 2))),
+        ([0.0, 0.0], []),
+        ([0.0, 0.0], [[1.0, 1.0, 1.0]]),
+        ([0.0, 0.0], np.zeros((2, 2, 2))),
+    ], ids=["w-star-nan", "w-star-inf", "w-star-3d", "w-star-1d", "orbit-inf", "orbit-nan",
+            "orbit-empty", "orbit-empty-list", "orbit-3d-points", "orbit-3-axes"])
+    def test_refs_must_be_usable(self, w_star, orbit):
+        # unchecked, a NaN w* or an inf orbit labels every cell other, and
+        # an empty orbit fails inside numpy's reduction
+        obj = g.Objective(g.parse_compact("2 1 1 0\n1 1 -1 0\n1 1 0 1\n1 1 0 -1\n"),
+                          g.logistic())
+        with pytest.raises(ValueError, match="w_star|orbit"):
+            g.basin_raster(obj, 1.0, (-1, 1, -1, 1), (4, 4), (w_star, orbit), T=10)
+
     def test_row_steps_counts_retired_cells(self, basin_cycle):
         # a cell stepped to T in full costs T row-steps; cells that reach w*
         # retire early, so the raster takes fewer than nx * ny * T
@@ -610,6 +642,107 @@ class TestBasinRaster:
         assert vals <= {0, 128, 255}
         header = g.analysis.raster_header(raster, gamma=0.95)
         assert "eta" in header and "gamma" in header
+
+
+def _plain_labels(obj, sol, eta, orbit, bounds, n, horizons):
+    """The labels of an n x n raster after each of ``horizons`` steps of
+    stepping every cell, none retired, and each cell's state at each."""
+    xmin, xmax, ymin, ymax = bounds
+    X, Y = np.meshgrid(xmin + (np.arange(n) + 0.5) * (xmax - xmin) / n,
+                       ymin + (np.arange(n) + 0.5) * (ymax - ymin) / n)
+    W = np.column_stack([X.ravel(), Y.ravel()])
+    tol = 1e-6 * (1.0 + np.linalg.norm(sol.w_star))
+    out = {}
+    for t in range(1, max(horizons) + 1):
+        W = g.step_many(obj, W, eta)
+        if t in horizons:
+            labels = np.full(len(W), analysis.LABEL_OTHER, dtype=np.int8)
+            d_orbit = np.min(np.linalg.norm(W[:, None, :] - orbit[None], axis=2), axis=1)
+            labels[d_orbit < tol] = analysis.LABEL_TO_CYCLE
+            labels[np.linalg.norm(W - sol.w_star, axis=1) < tol] = analysis.LABEL_TO_FIXED_POINT
+            out[t] = labels.reshape(n, n), W.copy()
+    return out
+
+
+TRAP_HORIZONS = (200, 800, 1500, 3000, 4000)
+
+
+@functools.cache
+def _plain_basin(loss, shifted=False):
+    obj, sol, eta, orbit = basin_attractors(loss)
+    if shifted:
+        orbit = orbit.copy()
+        orbit[5] += [1e-3, 0.0]
+    return _plain_labels(obj, sol, eta, orbit, (-10, 30, -10, 30), 24, TRAP_HORIZONS)
+
+
+class TestBasinTraps:
+    """basin_raster labels a cell once a certified trap ball holds it; every
+    label must be the one stepping every cell T times gives."""
+
+    @pytest.mark.parametrize("T", TRAP_HORIZONS)
+    @pytest.mark.parametrize("loss", ["logistic", "squareplus"])
+    def test_labels_equal_plain_stepping(self, loss, T):
+        obj, sol, eta, orbit = basin_attractors(loss)
+        raster = g.basin_raster(obj, eta, (-10, 30, -10, 30), (24, 24), (sol.w_star, orbit), T=T)
+        want, W_T = _plain_basin(loss)[T]
+        np.testing.assert_array_equal(raster.labels, want)
+        assert sum(raster.stops.values()) == 24 * 24
+        assert raster.stops["trapped"] > 0 and raster.row_steps < 24 * 24 * T
+        if T == 800:
+            # the waiting rule bites: cells inside the orbit's largest
+            # certified ball at T are still further than tol from it, so a
+            # cell that enters a ball must wait out the ball's steps
+            tol = 1e-6 * (1.0 + np.linalg.norm(sol.w_star))
+            ladder = analysis._trap_ladder(obj, eta, orbit, tol, T)
+            d_orbit = np.min(np.linalg.norm(W_T[:, None, :] - orbit[None], axis=2), axis=1)
+            late = (d_orbit <= ladder[-1][0]) & (d_orbit >= tol)
+            assert np.any(late & (want.ravel() == analysis.LABEL_OTHER))
+
+    def test_refused_cycle_balls_step_as_before(self, monkeypatch):
+        # with one orbit point moved by 1e-3 the orbit is not an orbit: its
+        # balls are refused, and the raster is the one with no cycle balls
+        obj, sol, eta, orbit = basin_attractors("logistic")
+        shifted = orbit.copy()
+        shifted[5] += [1e-3, 0.0]
+        raster = g.basin_raster(obj, eta, (-10, 30, -10, 30), (24, 24), (sol.w_star, shifted),
+                                T=1500)
+        np.testing.assert_array_equal(raster.labels, _plain_basin("logistic", True)[1500][0])
+        real = analysis.trap_balls
+        monkeypatch.setattr(analysis, "trap_balls", lambda obj, eta, pts, radii, eps: (
+            real(obj, eta, pts, radii, eps) if len(pts) == 1 else [None] * len(radii)))
+        untrapped = g.basin_raster(obj, eta, (-10, 30, -10, 30), (24, 24),
+                                   (sol.w_star, shifted), T=1500)
+        assert (raster.row_steps, raster.stops) == (untrapped.row_steps, untrapped.stops)
+        np.testing.assert_array_equal(raster.labels, untrapped.labels)
+        assert raster.stops["trapped"] == np.count_nonzero(
+            raster.labels == analysis.LABEL_TO_FIXED_POINT) > 0
+
+    def test_refused_fixed_point_balls_step_as_before(self, monkeypatch):
+        # past 2/lambda w* repels, and the orbit of gamma 0.95 is no orbit:
+        # every ball is refused and the raster is the untrapped one
+        obj, sol, _, orbit = basin_attractors("logistic")
+        eta = 1.02 * sol.eta_two_lambda
+        args = (obj, eta, (-10, 30, -10, 30), (12, 12), (sol.w_star, orbit))
+        with np.errstate(over="ignore", invalid="ignore"):
+            raster = g.basin_raster(*args, T=300)
+            monkeypatch.setattr(analysis, "trap_balls",
+                                lambda obj, eta, pts, radii, eps: [None] * len(radii))
+            untrapped = g.basin_raster(*args, T=300)
+        assert raster.stops["trapped"] == 0
+        assert (raster.row_steps, raster.stops) == (untrapped.row_steps, untrapped.stops)
+        np.testing.assert_array_equal(raster.labels, untrapped.labels)
+
+    def test_pgm_matches_per_cell_formatting(self, basin_cycle):
+        obj, sol, eta, traj, rep = basin_cycle
+        raster = g.basin_raster(obj, eta, (-10, 30, -10, 30), (5, 3),
+                                (sol.w_star, rep.orbit), T=10)
+        labels = np.random.default_rng(3).integers(0, 3, (7, 11)).astype(np.int8)
+        raster = dataclasses.replace(raster, labels=labels, resolution=(11, 7))
+        values = {analysis.LABEL_OTHER: 0, analysis.LABEL_TO_CYCLE: 128,
+                  analysis.LABEL_TO_FIXED_POINT: 255}
+        rows = [" ".join(str(values[int(v)]) for v in labels[j]) for j in range(6, -1, -1)]
+        assert analysis.raster_to_pgm(raster) == "\n".join(["P2", "11 7", "255"] + rows) + "\n"
 
 
 class TestSharpnessSeries:

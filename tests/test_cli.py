@@ -161,6 +161,9 @@ class TestBasin:
         assert "cycle_period = 13" in out
         row_steps = int(out.split("row_steps = ")[1].split()[0])
         assert 0 < row_steps <= 12 * 12 * 1500
+        stops = [int(out.split(f"cells_{how} = ")[1].split()[0])
+                 for how in ("repeated", "trapped", "horizon")]
+        assert sum(stops) == 12 * 12 and stops[1] > 0
         pgm = (out_dir / "basin.pgm").read_text()
         assert pgm.startswith("P2\n12 12\n255\n")
         assert (out_dir / "basin_header.txt").exists()

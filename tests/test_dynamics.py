@@ -552,6 +552,72 @@ class TestFinalStates:
         assert steps == 4 * len(W)
 
 
+class TestSettledStates:
+    """each_step may settle states: each one not yet written is written out
+    as it stands after that step, with period 0, and leaves as a written
+    state does; every other state is the one stepping gives."""
+
+    def test_settled_rows_leave_as_they_stand(self):
+        # rows near w* repeat with period 1 and retire; every fifth row is
+        # settled at step 40, and rows 1 and 2 at step 7
+        obj, eta, _ = _recipe("basin_2d", "logistic")
+        X, Y = np.meshgrid(np.linspace(-9, 29, 12), np.linspace(-9, 29, 12))
+        W = np.column_stack([X.ravel(), Y.ravel()])
+        T, seen, at = 1500, [], {}
+        rule = {7: lambda rows: np.isin(rows, [1, 2]), 40: lambda rows: rows % 5 == 0}
+
+        def settle(W_u, rows):
+            seen.append(rows.copy())
+            u = len(seen)
+            if u not in rule:
+                return None
+            done = rule[u](rows)
+            for r, w in zip(rows[done].tolist(), W_u[done]):
+                at.setdefault(r, w.copy())
+            return done
+
+        out, period, row_steps = _final_states(obj, W, eta, T, settle)
+        want, want_period = _stepped_batch(obj, W, eta, T)
+        settled = np.zeros(len(W), dtype=bool)
+        settled[list(at)] = True
+        assert settled.sum() == 2 + 29
+        np.testing.assert_array_equal(out[~settled].view(np.int64), want[~settled].view(np.int64))
+        np.testing.assert_array_equal(period[~settled], want_period[~settled])
+        np.testing.assert_array_equal(out[settled],
+                                      np.array([at[r] for r in np.flatnonzero(settled)]))
+        assert not period[settled].any()
+        # a settled row is not stepped after its step
+        assert not np.isin([1, 2], seen[7]).any()
+        assert not np.isin(np.arange(0, 144, 5), seen[40]).any()
+        assert row_steps == sum(map(len, seen)) < len(W) * T
+
+    def test_settled_layers_leave(self):
+        # settling a whole layer (and a state of another, which stays) at
+        # step 3 drops that layer at once; the others are the stepped ones
+        obj, W, etas = _toy_n2_stack([6.0, 7.0, 8.0, 9.0])
+        seen = []
+
+        def settle(W_u, layers):
+            seen.append(layers.copy())
+            if len(seen) != 3:
+                return None
+            done = np.zeros(W_u.shape[:-1], dtype=bool)
+            done[layers == 1] = True
+            done[layers == 3, 0] = True
+            return done
+
+        T = 500
+        out, period, row_steps = _final_states(obj, W, etas, T, settle)
+        want, want_period = _stepped_batch(obj, W, etas, T)
+        assert seen[2].tolist() == [0, 1, 2, 3] and 1 not in seen[3]
+        keep = np.ones(W.shape[:-1], dtype=bool)
+        keep[1] = keep[3, 0] = False
+        np.testing.assert_array_equal(out[keep].view(np.int64), want[keep].view(np.int64))
+        np.testing.assert_array_equal(period[keep], want_period[keep])
+        assert not period[~keep].any()
+        assert row_steps == 4 * sum(map(len, seen))
+
+
 def _toy_n2_stack(etas, n_inits=4):
     """toy n=2 under the logistic loss as an (etas, n_inits, 1) stack of
     the same spread of inits, with its (etas, 1, 1) step sizes: below 8
