@@ -31,6 +31,7 @@ from .objective import Objective, diverged, lambda_max
 
 __all__ = [
     "CycleReport",
+    "check_cycle_args",
     "detect_cycle",
     "PsdResult",
     "check_psd_window",
@@ -87,6 +88,16 @@ def _window_residual(tail: np.ndarray, k: int) -> float:
     return float(np.max(diffs / scale))
 
 
+def check_cycle_args(k_max: int, tol: float = DEFAULT_CYCLE_TOL) -> None:
+    """Raise ValueError unless ``k_max`` >= 1 and ``tol`` is positive and
+    finite: with either out of range no period can be found, and
+    ``detect_cycle`` would report "undetermined" for any orbit."""
+    if not k_max >= 1:
+        raise ValueError(f"k_max must be at least 1, got {k_max}")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+
+
 def detect_cycle(
     obj: Objective,
     traj: Trajectory,
@@ -100,10 +111,18 @@ def detect_cycle(
     upward guarantees minimality: every smaller k, its divisors included, has
     already failed to close the window.
 
+    The scan runs the full residual only for the k whose last-row term,
+    max|w_T - w_{T-k}| / (1 + max|w_T|), is below ``tol``; all k_max terms
+    come from one array operation.  That term is one entry of the residual's
+    maximum, computed with the same float operations, so every skipped k has
+    a residual of at least ``tol`` (or NaN) and the k found is still the
+    smallest that closes.
+
     ``lyapunov`` is estimated over the last ``traj.tail_window`` states of
     the dense tail, so it does not depend on the recording policy or on how
     long the transient before that window lasted.
     """
+    check_cycle_args(k_max, tol)
     tail = traj.dense_tail()
     if len(tail) < 2 * k_max:
         raise ValueError(
@@ -112,7 +131,10 @@ def detect_cycle(
     eta = traj.eta
     found = 0
     residual = float("nan")
-    for k in range(1, k_max + 1):
+    last = tail[-1]
+    before = tail[-1 - k_max:-1][::-1]          # row k - 1 is w_{T-k}
+    terms = np.max(np.abs(last - before), axis=1) / (1.0 + np.max(np.abs(last)))
+    for k in (np.flatnonzero(terms < tol) + 1).tolist():
         r = _window_residual(tail, k)
         if r < tol:
             found, residual = k, r

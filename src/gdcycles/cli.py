@@ -34,6 +34,7 @@ from .analysis import (
     LABEL_TO_FIXED_POINT,
     basin_raster,
     bifurcation_sweep,
+    check_cycle_args,
     check_psd_window,
     check_raster,
     detect_cycle,
@@ -250,6 +251,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_trajectory(args) -> int:
+    try:
+        check_cycle_args(args.k_max)  # before the run, which may be long
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     obj = _objective(args)
     traj = _write_trajectory(args.out or Path("."), obj, _run_config(args, obj), args.sharpness)
     if traj.diverged:

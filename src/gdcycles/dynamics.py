@@ -495,7 +495,9 @@ def _losses_from_margins(obj: Objective, Z: np.ndarray, out: Optional[np.ndarray
                          ) -> np.ndarray:
     """The objective at each row of margins, written into ``out`` when
     given.  Each row is summed by its own dot product, as ``obj.value``
-    does: one matrix-vector product over the block rounds some rows
+    does: one ``np.vecdot`` per block calls the same dot kernel on every
+    row as ``wts @ f``, bit for bit, without a Python loop.  A matrix-vector
+    product over the block (``F @ wts``, ``np.einsum``) rounds some rows
     differently."""
     wts = obj._wts
     if out is None:
@@ -503,7 +505,7 @@ def _losses_from_margins(obj: Objective, Z: np.ndarray, out: Optional[np.ndarray
     rows = max(1, _LOSS_BLOCK_FLOATS // Z.shape[1])
     for lo in range(0, len(Z), rows):
         F = obj.loss.f(Z[lo:lo + rows])
-        out[lo:lo + len(F)] = [wts @ f for f in F]
+        np.vecdot(F, wts, out=out[lo:lo + len(F)])
     return out
 
 

@@ -29,6 +29,11 @@ __all__ = ["Objective", "Solution", "diverged", "lambda_max", "minimize"]
 # sup-norm past which an iterate counts as diverged
 DIVERGENCE_NORM = 1e12
 
+# Up to this many coordinates, a Python loop over a 1-D state beats the two
+# ufunc calls (0.9 against 2.4 us at one, 2.9 against 3.3 us at 16, 4.5
+# against 2.5 us at 32, numpy 2.4 on a 2-core Xeon).
+_GUARD_LOOP_MAX = 16
+
 
 def diverged(w: np.ndarray, axis=None):
     """The divergence guard: whether the sup-norm of w exceeds
@@ -37,7 +42,15 @@ def diverged(w: np.ndarray, axis=None):
     per state of a batch).
 
     One ``np.abs`` and one ``np.maximum.reduce``, which propagates NaN, so a
-    NaN coordinate counts as diverged."""
+    NaN coordinate counts as diverged.  A single 1-D state of at most
+    _GUARD_LOOP_MAX coordinates (``run``'s and ``minimize``'s, one guard per
+    step) is answered from Python floats instead, at about a third of the
+    cost at one coordinate; a NaN fails ``<=`` there too.  An empty state
+    raises ValueError either way."""
+    if axis is None and w.ndim == 1 and len(w) <= _GUARD_LOOP_MAX:
+        if not len(w):
+            raise ValueError("the divergence guard needs a nonempty state")
+        return not all(abs(x) <= DIVERGENCE_NORM for x in w.tolist())
     within = np.maximum.reduce(np.abs(w), axis=axis) <= DIVERGENCE_NORM
     # `not` skips the ufunc call that `~` makes on a numpy bool
     return not within if axis is None else ~within

@@ -64,6 +64,7 @@ class TestDetectCycle:
         rep = g.detect_cycle(obj, traj, tol=1e-10, k_max=32)
         assert rep.kind == "cycle"
         assert rep.period == 6
+        assert_same_report(rep, plain_detect_cycle(obj, traj, tol=1e-10, k_max=32))
 
     def test_undetermined_when_nothing_repeats(self):
         rng = np.random.default_rng(0)
@@ -103,6 +104,135 @@ class TestDetectCycle:
         for i in range(k):
             for j in range(i + 1, k):
                 assert np.max(np.abs(rep.orbit[i] - rep.orbit[j])) > 1e-8
+
+
+def plain_detect_cycle(obj, traj, tol=analysis.DEFAULT_CYCLE_TOL, k_max=analysis.DEFAULT_K_MAX):
+    """detect_cycle as a plain scan that runs the full window residual for
+    every k from 1 up, with the same orbit checks after it."""
+    tail = traj.dense_tail()
+    found, residual = 0, float("nan")
+    for k in range(1, k_max + 1):
+        r = analysis._window_residual(tail, k)
+        if r < tol:
+            found, residual = k, r
+            break
+    lyap = dynamics._lyapunov_from_states(obj, tail[max(0, len(tail) - traj.tail_window):],
+                                          traj.eta)
+    undetermined = g.CycleReport("undetermined", 0, tail[:0], float("nan"), float("nan"), lyap)
+    if found == 0:
+        return undetermined
+    orbit = tail[-found:].copy()
+    mult = g.orbit_multiplier(obj, orbit, traj.eta)
+    if found == 1:
+        return g.CycleReport("fixed_point", 1, orbit, residual, mult, lyap)
+    scale = 1.0 + np.max(np.abs(orbit))
+    for i in range(found - 1):
+        if np.min(np.max(np.abs(orbit[i + 1:] - orbit[i]), axis=1)) < tol * scale:
+            return undetermined
+    return g.CycleReport("cycle", found, orbit, residual, mult, lyap)
+
+
+def assert_same_report(got, want):
+    assert (got.kind, got.period) == (want.kind, want.period)
+    assert got.orbit.shape == want.orbit.shape
+    assert got.orbit.tobytes() == want.orbit.tobytes()
+    for name in ("residual", "multiplier", "lyapunov"):
+        assert np.float64(getattr(got, name)).tobytes() == \
+            np.float64(getattr(want, name)).tobytes(), name
+
+
+def residual_calls(monkeypatch):
+    """The k of each window residual computed from here on, in order."""
+    calls, real = [], analysis._window_residual
+
+    def counted(tail, k):
+        calls.append(k)
+        return real(tail, k)
+
+    monkeypatch.setattr(analysis, "_window_residual", counted)
+    return calls
+
+
+def two_dim_objective():
+    return g.Objective(random_nonseparable(np.random.default_rng(3), 2), g.logistic())
+
+
+class TestDetectCyclePrefilter:
+    """detect_cycle runs the window residual only for the k whose last row
+    closes; its report is the plain k-by-k scan's, byte for byte."""
+
+    def check(self, obj, tail, tol=analysis.DEFAULT_CYCLE_TOL, k_max=64):
+        traj = synthetic_trajectory(tail)
+        rep = g.detect_cycle(obj, traj, tol=tol, k_max=k_max)
+        assert_same_report(rep, plain_detect_cycle(obj, traj, tol=tol, k_max=k_max))
+        return rep
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("tol", [1e-8, 0.3, 1.0, 3.0])
+    def test_random_tails(self, d, tol):
+        obj = toy3_objective() if d == 1 else two_dim_objective()
+        rng = np.random.default_rng(d)
+        kinds = set()
+        for _ in range(20):
+            tail = rng.normal(size=(200, d)) * rng.choice([1e-3, 1.0, 1e3])
+            kinds.add(self.check(obj, tail, tol=tol).kind)
+        # the loose tolerances let short windows close, so every branch runs
+        assert kinds >= ({"undetermined"} if tol < 1 else {"fixed_point"})
+
+    @pytest.mark.parametrize("row", [-1, -2, -5, -64, -65, -128, 0])
+    def test_tails_with_a_nan(self, row):
+        obj = toy3_objective()
+        tail = np.tile([[0.0], [1.0], [0.5]], (60, 1))
+        tail[row] = np.nan
+        rep = self.check(obj, tail)
+        # a NaN inside the last 2k rows keeps that k from closing: with one
+        # in the last 6, no multiple of the period 3 closes either
+        assert rep.kind == ("undetermined" if -6 <= row < 0 else "cycle")
+        self.check(obj, np.where(np.isnan(tail), tail, tail * 0.0 + 2.0))
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 17])
+    def test_only_the_last_row_closes(self, k):
+        # w_T equals w_{T-k} but the window before it does not: the prefilter
+        # passes k, and the residual must still reject it (k = 1's window is
+        # the last row alone)
+        obj = toy3_objective()
+        tail = np.random.default_rng(k).normal(size=(200, 1))
+        tail[-1] = tail[-1 - k]
+        assert self.check(obj, tail).kind == "undetermined"
+
+    def test_false_candidate_before_the_period(self, monkeypatch):
+        # period 5 with w_T = w_{T-2}: k = 2 passes the prefilter and fails
+        # the residual, 5 closes, and the repeated point makes the report
+        # undetermined (a pairwise-distinct cycle has no candidate below its
+        # period: a last row within tol of w_{T-k} is a repeated point)
+        obj = toy3_objective()
+        tail = np.tile([[0.0], [1.0], [0.25], [-2.0], [0.25]], (30, 1))
+        calls = residual_calls(monkeypatch)
+        rep = self.check(obj, tail)
+        assert calls[:2] == [2, 5]      # the plain scan's calls follow
+        assert (rep.kind, rep.period) == ("undetermined", 0)
+
+    @pytest.mark.parametrize("run_name,kind,period", [
+        ("cycle4", "cycle", 4), ("cycle7", "cycle", 7), ("cycle37", "cycle", 37),
+        ("chaotic_run", "undetermined", 0), ("cycle13", "cycle", 13),
+    ])
+    def test_classify_recipes(self, request, monkeypatch, run_name, kind, period):
+        obj, _, _, traj, _ = request.getfixturevalue(run_name)
+        calls = residual_calls(monkeypatch)
+        rep = g.detect_cycle(obj, traj, k_max=2048)
+        assert (rep.kind, rep.period) == (kind, period)
+        # the chaotic orbit runs no residual, each cycle only its period's
+        assert calls == ([period] if period else [])
+        assert_same_report(rep, plain_detect_cycle(obj, traj, k_max=2048))
+
+    @pytest.mark.parametrize("kwargs", [
+        {"k_max": 0}, {"k_max": -3}, {"tol": 0.0}, {"tol": -1e-8}, {"tol": np.nan},
+        {"tol": np.inf},
+    ], ids=["k_max-0", "k_max-negative", "tol-0", "tol-negative", "tol-nan", "tol-inf"])
+    def test_meaningless_arguments_raise(self, kwargs):
+        traj = synthetic_trajectory(np.tile([[0.0], [1.0]], (100, 1)))
+        with pytest.raises(ValueError, match="k_max|tol"):
+            g.detect_cycle(toy3_objective(), traj, **kwargs)
 
 
 class TestDetectCycleRecordingInvariance:

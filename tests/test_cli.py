@@ -331,6 +331,22 @@ class TestUsageErrors:
         assert code == 1
         assert err == f"error: window must be a power of two, got {window}\n"
 
+    @pytest.mark.parametrize("k_max", ["0", "-1"])
+    def test_k_max_rejected_before_the_run(self, capsys, tmp_path, monkeypatch, k_max):
+        # --k-max 0 used to print closed_at and closed_period, then
+        # "kind = undetermined", and exit 0
+        def no_run(*args, **kwargs):
+            raise AssertionError("trajectory ran GD before checking --k-max")
+
+        monkeypatch.setattr(cli, "run", no_run)
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            capsys, "trajectory", "--data", str(RECIPES / "toy_n2.cds"), "--eta", "6.5",
+            "--w0", "0.3", "--iters", "2000", "--k-max", k_max, "--out", str(out_dir))
+        assert code == 1 and out == ""
+        assert err == f"error: k_max must be at least 1, got {k_max}\n"
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("data,argv", [
         ("toy_n2.cds", ["bifurcate", "--eta-min", "6", "--eta-max", "9", "--steps", "0"]),
         ("toy_n2.cds", ["trajectory", "--eta", "1", "--w0", "nan"]),

@@ -850,6 +850,76 @@ class TestStateBlocks:
         assert traj.losses.tobytes() == values.tobytes()
 
 
+def _losses_row_by_row(obj, Z):
+    """The losses of the rows of margins Z, each summed by its own
+    ``wts @ f`` over the same loss blocks as ``_losses_from_margins``."""
+    out = np.empty(len(Z))
+    rows = max(1, _LOSS_BLOCK_FLOATS // Z.shape[1])
+    for lo in range(0, len(Z), rows):
+        F = obj.loss.f(Z[lo:lo + rows])
+        out[lo:lo + len(F)] = [obj._wts @ f for f in F]
+    return out
+
+
+def _objective_with_groups(rng, G, loss):
+    """An objective with G groups of random counts under ``loss``: only its
+    weights and its loss enter the losses of given margins."""
+    ds = g.Dataset(rng.normal(size=(G, 2)), rng.choice([-1, 1], size=G),
+                   rng.integers(1, 300, size=G))
+    return g.Objective(ds, g.get_loss(loss))
+
+
+# margins where the losses switch form: exp's overflow and subnormal tail,
+# squareplus's switch at 2**28, and the largest finite floats
+_HUGE_MARGINS = np.array([745.0, -745.0, 710.0, 2.0**29, -(2.0**29), 1e300, -1e300,
+                          np.finfo(float).max, -np.finfo(float).max])
+
+
+def _random_margins(rng, n, G):
+    Z = rng.normal(size=(n, G)) * rng.choice([1e-3, 1.0, 30.0, 1e4], size=(n, 1))
+    spots = rng.integers(0, n * G, size=min(n * G, 4 * len(_HUGE_MARGINS)))
+    Z.flat[spots] = rng.choice(_HUGE_MARGINS, size=len(spots))
+    return Z
+
+
+class TestLossesFromMargins:
+    """One ``np.vecdot`` per block gives each row the bytes of its own
+    ``wts @ f``."""
+
+    @pytest.mark.parametrize("loss", ["logistic", "squareplus"])
+    @pytest.mark.parametrize("G", [1, 2, 3, 5, 8, 13, 17, 64])
+    def test_each_row_is_its_own_dot(self, G, loss):
+        rng = np.random.default_rng(G)
+        obj = _objective_with_groups(rng, G, loss)
+        Z = _random_margins(rng, 3000, G)
+        want = _losses_row_by_row(obj, Z)
+        assert _losses_from_margins(obj, Z).tobytes() == want.tobytes()
+        # into a slice of a longer buffer, as run writes them; the rows
+        # around it stay untouched
+        buf = np.full(len(Z) + 5, 7.0)
+        _losses_from_margins(obj, Z, out=buf[2:2 + len(Z)])
+        assert buf[2:2 + len(Z)].tobytes() == want.tobytes()
+        assert buf[:2].tolist() == [7.0, 7.0] and buf[-3:].tolist() == [7.0] * 3
+
+    @pytest.mark.parametrize("loss", ["logistic", "squareplus"])
+    @pytest.mark.parametrize("G", [3, 8])
+    def test_across_loss_blocks(self, G, loss):
+        rng = np.random.default_rng(100 + G)
+        obj = _objective_with_groups(rng, G, loss)
+        rows = _LOSS_BLOCK_FLOATS // G
+        Z = _random_margins(rng, 2 * rows + 7, G)
+        # huge margins on both sides of each block boundary
+        for edge in (rows, 2 * rows):
+            Z[edge - 1:edge + 1] = rng.choice(_HUGE_MARGINS, size=(2, G))
+        want = _losses_row_by_row(obj, Z)
+        assert np.max(want) > 1e299
+        assert _losses_from_margins(obj, Z).tobytes() == want.tobytes()
+        for n in (rows - 1, rows, rows + 1):
+            out = np.empty(n)
+            _losses_from_margins(obj, Z[:n], out=out)
+            assert out.tobytes() == want[:n].tobytes()
+
+
 def _dense_from_by_scan(times):
     """The dense tail's first row found by walking back over the steps."""
     steps = np.diff(times)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import gdcycles as g
-from gdcycles.objective import DIVERGENCE_NORM, diverged
+from gdcycles.objective import _GUARD_LOOP_MAX, DIVERGENCE_NORM, diverged
 from conftest import (
     bisect_root,
     fd_gradient,
@@ -159,6 +159,71 @@ class TestDiverged:
         np.testing.assert_array_equal(mask, want)
         assert diverged(W)
         assert not diverged(np.where(np.isfinite(W) & (np.abs(W) <= 1e12), W, 0.0))
+
+
+# ±0.0, subnormals, the bound and the next floats past it, ±inf and NaN
+_EDGE = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e12, -1e12, np.nextafter(1e12, np.inf),
+         -np.nextafter(1e12, np.inf), np.nextafter(1e12, 0.0), np.inf, -np.inf, np.nan, 3.5]
+
+
+def _guard_on_arrays(w):
+    """The guard's array path, the only one before states of one axis were
+    answered from Python floats: one ``np.abs`` and one reduction."""
+    return not np.maximum.reduce(np.abs(w)) <= DIVERGENCE_NORM
+
+
+class TestDivergedOneState:
+    """A 1-D state of up to _GUARD_LOOP_MAX coordinates is answered from
+    Python floats; the answer is the array path's for every value."""
+
+    def check(self, w):
+        want = _guard_on_arrays(w)
+        assert diverged(w) is want
+        assert bool(diverged(w[None], axis=-1)[0]) is want
+        return want
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, _GUARD_LOOP_MAX,
+                                   _GUARD_LOOP_MAX + 1, 1000])
+    def test_edge_values_at_every_length(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(200):
+            self.check(rng.choice(_EDGE, size=n))
+        for value in _EDGE:
+            w = rng.uniform(-1e12, 1e12, n)
+            for i in range(n):
+                v = w.copy()
+                v[i] = value
+                self.check(v)
+
+    def test_nan_at_every_position(self):
+        for n in (1, 2, 3, 8, _GUARD_LOOP_MAX, _GUARD_LOOP_MAX + 1, 1000):
+            for i in range(n):
+                w = np.zeros(n)
+                w[i] = np.nan
+                assert self.check(w) is True
+
+    def test_views_and_dtypes(self):
+        base = np.array([[1.0, np.nextafter(1e12, np.inf)], [2.0, 1e12], [-3.0, -0.0]])
+        assert self.check(base[:, 1]) is True                # a strided column
+        assert self.check(base[1:, 1]) is False
+        assert self.check(base[::-1, 0]) is False
+        assert self.check(np.arange(10.0)[::3]) is False
+        ints = np.array([0, -7, 10**12, -10**12])
+        assert self.check(ints) is False
+        assert self.check(np.append(ints, 10**12 + 1)) is True
+        assert self.check(np.append(ints, -10**12 - 1)) is True
+        f32 = np.array([1e12, -1e12, 0.0], dtype=np.float32)
+        assert self.check(f32) is False
+        assert self.check(np.append(f32, np.nextafter(np.float32(1e12), np.float32(np.inf))))
+        for value in (np.inf, -np.inf, np.nan):
+            assert self.check(np.append(f32, np.float32(value))) is True
+
+    @pytest.mark.parametrize("dtype", [float, np.float32, np.int64])
+    def test_empty_state_raises(self, dtype):
+        with pytest.raises(ValueError):
+            diverged(np.zeros(0, dtype=dtype))
+        with pytest.raises(ValueError):
+            _guard_on_arrays(np.zeros(0, dtype=dtype))
 
 
 class TestLambdaMax:
