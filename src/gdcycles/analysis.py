@@ -18,6 +18,7 @@ import numpy as np
 
 from .certify import trap_balls
 from .dynamics import (
+    _LOSS_BLOCK_FLOATS,
     StepWork,
     Trajectory,
     _final_states,
@@ -222,16 +223,37 @@ class BifurcationSweep:
         return self.cells[eta_index * self.n_inits:(eta_index + 1) * self.n_inits]
 
 
+# From this many sorted, distinct values on, _dedup first tests every gap at
+# once; below it the loop is cheaper than the array test.
+_DEDUP_LOOP_MAX = 64
+
+
 def _dedup(values: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
-    """Collapse near-equal values (relative tolerance) to one representative."""
+    """Collapse near-equal values (relative tolerance) to one representative.
+
+    The finite values are sorted and exact repeats dropped; then each value
+    is kept when it lies more than rtol * max(1, |v|, |kept|) from the last
+    value kept.  When more than ``_DEDUP_LOOP_MAX`` values are left, every
+    neighbour gap is tested at once first: if each passes, the loop would
+    keep every value, since it then compares each value with the one before
+    it by the same binary64 operations, so the values are returned as they
+    are.  Otherwise the loop runs."""
     vals = np.sort(np.asarray(values, dtype=float))
     vals = vals[np.isfinite(vals)]
     if len(vals) == 0:
         return vals
-    # an exact repeat always collapses into the representative before it;
+    # an exact repeat always collapses into the representative before it
+    vals = vals[np.concatenate(([True], vals[1:] != vals[:-1]))]
+    if len(vals) > _DEDUP_LOOP_MAX:
+        lo, hi = vals[:-1], vals[1:]
+        # ascending, so hi - lo is |hi - lo|; an overflow gives inf, as in the loop
+        with np.errstate(over="ignore"):
+            keep = hi - lo > rtol * np.maximum(np.maximum(np.abs(hi), np.abs(lo)), 1.0)
+        if keep.all():
+            return vals
     # Python floats run the comparison faster than numpy scalars, with the
     # same binary64 arithmetic
-    vals = vals[np.concatenate(([True], vals[1:] != vals[:-1]))].tolist()
+    vals = vals.tolist()
     out = [vals[0]]
     for v in vals[1:]:
         if abs(v - out[-1]) > rtol * max(1.0, abs(v), abs(out[-1])):
@@ -241,9 +263,9 @@ def _dedup(values: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
 
 # A sweep's transient stack holds at most this many floats in each buffer of
 # its StepWork and in each of its arrays of states (the stack, the states
-# written out, the repeat check's reference), and a tail block's two
-# buffers at most this many each (512 KiB), its recorded states when it is
-# closed d times as many, so the sweep's memory does not grow with the grid.
+# written out, the repeat check's reference), and a tail block's losses and
+# probes at most this many each (512 KiB), its recorded states d times as
+# many, so the sweep's memory does not grow with the grid.
 _SWEEP_BLOCK_FLOATS = 2**16
 
 
@@ -289,6 +311,10 @@ def bifurcation_sweep(
       over and over, so the block steps and records only P steps, and each
       cell reports its first p values and, as its final state, the one at
       step (tail - 1) % p + 1.  Every other block steps the whole tail.
+      A tail step only steps, guards and records the block's states; once
+      the block is stepped, its losses and probes are evaluated from the
+      recorded states, as many steps at a time as fit 2**14 margins
+      (``dynamics._LOSS_BLOCK_FLOATS``), with the per-step expressions.
 
     Every matrix product runs on the same (n_inits, d) layers as a
     one-step-size sweep, so a cell does not depend on the grid around it:
@@ -361,9 +387,7 @@ def bifurcation_sweep(
             P = int(live.max(initial=0))
             closed = bool(np.all(live > 0)) and P <= tail_steps
             steps = P if closed else tail_steps
-            tail_losses = np.empty((steps,) + alive.shape)
-            tail_pn = np.empty((steps,) + alive.shape) if pn_row is not None else None
-            tail_states = np.empty((steps,) + W.shape) if closed else None
+            tail_states = np.empty((steps,) + W.shape)
             eta_layers, dead = etas[:, None, None], ~alive
             frozen = bool(dead.any())
             for k in range(steps):
@@ -373,12 +397,18 @@ def bifurcation_sweep(
                     frozen = True
                 if frozen:
                     W[dead] = 0.0
-                tail_losses[k] = loss.f(W @ A.T) @ wts
-                if tail_pn is not None:
-                    tail_pn[k] = sigmoid(W @ pn_row)
-                if closed:
-                    tail_states[k] = W
+                tail_states[k] = W
             row_steps += alive.size * steps
+            # the values of the recorded states, a chunk of steps at a time;
+            # each (n_inits, G) layer is multiplied as a per-step product would
+            tail_losses = np.empty((steps,) + alive.shape)
+            tail_pn = np.empty((steps,) + alive.shape) if pn_row is not None else None
+            chunk = max(1, _LOSS_BLOCK_FLOATS // (alive.size * len(A)))
+            for c in range(0, steps, chunk):
+                S = tail_states[c:c + chunk]
+                tail_losses[c:c + chunk] = loss.f(S @ A.T) @ wts
+                if tail_pn is not None:
+                    tail_pn[c:c + chunk] = sigmoid(S @ pn_row)
             for j, eta in enumerate(etas.tolist()):
                 for i in range(n_inits):
                     if dead[j, i]:

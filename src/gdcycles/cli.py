@@ -12,8 +12,8 @@ Subcommands map one-to-one onto the library pipelines:
 
 Exit codes: 0 success, 1 usage error (including a step size or w0 the
 library rejects), 2 domain error (separable or degenerate data, or a
-recipe without its cycle).  All outputs are deterministic given flags and
---seed.
+recipe without its cycle).  All outputs are deterministic given the flags;
+``bifurcate`` and ``repro`` draw their initializations from ``--seed``.
 """
 
 from __future__ import annotations
@@ -63,6 +63,8 @@ class UsageError(Exception):
 
 
 def _common_flags(p: argparse.ArgumentParser, need_eta: bool = True):
+    """The dataset and loss flags, and with ``need_eta`` the step size and
+    the ``--iters`` that ``_run_config`` reads."""
     p.add_argument("--data", required=True, type=Path, help="dataset file (.cds or libsvm text)")
     p.add_argument("--format", default="auto", choices=("auto", "compact", "libsvm"))
     p.add_argument("--zero-as-negative", action="store_true",
@@ -74,8 +76,7 @@ def _common_flags(p: argparse.ArgumentParser, need_eta: bool = True):
         step.add_argument("--gamma", type=float, help="step-size factor relative to --ref")
         p.add_argument("--ref", default="lambda", choices=("lambda", "two-L"),
                        help="gamma reference: gamma/lambda or gamma*(2/L)")
-    p.add_argument("--iters", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--iters", type=int, default=100_000)
     p.add_argument("--out", type=Path, default=None, help="output directory")
 
 
@@ -261,7 +262,10 @@ def cmd_trajectory(args) -> int:
         print("diverged = 1")
         return EXIT_OK
     print(f"closed_at = {traj.closed_at}, closed_period = {traj.closed_period}")
-    if len(traj.dense_tail()) >= 2 * args.k_max:
+    rows = len(traj.dense_tail())
+    if rows < 2 * args.k_max:
+        print(f"classification = skipped (dense tail {rows} < 2 * k_max {2 * args.k_max})")
+    else:
         rep = detect_cycle(obj, traj, k_max=args.k_max)
         print(f"kind = {rep.kind}")
         print(f"period = {rep.period}")
@@ -414,6 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta-max", type=float, required=True)
     p.add_argument("--steps", type=int, default=64)
     p.add_argument("--inits", type=int, default=32)
+    p.add_argument("--iters", type=int, default=100_000)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--pn-group", type=int, default=None,
                    help="dataset group whose probability to record per cell")
     p.set_defaults(fn=cmd_bifurcate)
@@ -438,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=150_000)
     p.add_argument("--stack-iters", type=int, default=30_000)
     p.add_argument("--tail", type=int, default=2048)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=Path, default=None)
     p.set_defaults(fn=cmd_eos)
 

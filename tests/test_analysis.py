@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import gdcycles as g
 from gdcycles import analysis, dynamics, objective
-from gdcycles.analysis import _CSV_BLOCK_ROWS, _dedup, sweep_to_csv
+from gdcycles.analysis import _CSV_BLOCK_ROWS, _DEDUP_LOOP_MAX, _dedup, sweep_to_csv
 from gdcycles.dynamics import Trajectory
 from gdcycles.losses import ScalarLoss, sigmoid
 from gdcycles.objective import lambda_max
@@ -331,7 +331,7 @@ _TAIL_VALUES = st.lists(st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     _ANCHORS,
     st.builds(lambda a, e: a + e * max(1.0, abs(a)), _ANCHORS, _NUDGES),
-), max_size=80)
+), max_size=200)    # past _DEDUP_LOOP_MAX distinct values, so the array test runs too
 
 
 class TestDedup:
@@ -351,6 +351,42 @@ class TestDedup:
     def test_keeps_separated(self):
         out = _dedup(np.array([1.0, 1.001, 0.999]), rtol=1e-9)
         assert len(out) == 3
+
+    # past _DEDUP_LOOP_MAX distinct values every gap is tested at once, and
+    # the values are returned as they are only if every gap passes
+    @staticmethod
+    def _long_values():
+        vals = np.random.default_rng(3).permutation(np.linspace(-3.0, 5.0, 1024))
+        assert len(vals) > _DEDUP_LOOP_MAX
+        return vals
+
+    def _check(self, values, rtol, n_out):
+        got = _dedup(values, rtol=rtol)
+        want = _dedup_reference(values, rtol=rtol)
+        assert got.tobytes() == want.tobytes()
+        assert len(got) == n_out
+
+    def test_long_well_separated_values_all_kept(self):
+        self._check(self._long_values(), 1e-9, 1024)
+
+    def test_long_values_with_one_near_pair(self):
+        vals = np.sort(self._long_values())
+        vals[700] = vals[699] * (1.0 + 1e-12)       # inside rtol of the value below
+        self._check(vals, 1e-9, 1023)
+
+    def test_gap_exactly_at_the_threshold_collapses(self):
+        # with |v| < 1 the threshold is rtol itself; every gap is 2 rtol but
+        # one, which is rtol exactly, and `>` fails on it
+        rtol = 2.0**-10
+        vals = np.append(np.arange(100) * 2.0**-9, 10 * 2.0**-9 + rtol)
+        assert np.diff(np.sort(vals)).min() == rtol
+        self._check(vals, rtol, 100)
+
+    def test_zero_rtol_keeps_every_distinct_value(self):
+        # consecutive floats above 1, one repeated: every gap is one ulp,
+        # which rtol = 0 keeps, and the repeat collapses
+        vals = np.concatenate([1.0 + np.arange(200) * 2.0**-52, [1.0]])
+        self._check(vals, 0.0, 200)
 
 
 def plain_sweep_cells(obj, grid, n_inits, T, tail, seed, pn_group=None, bound=1e12):
@@ -536,6 +572,14 @@ class TestBifurcationSweep:
         ("never-closing-8", 5 * 1500),
         ("closed-and-open-blocks",
          4 * (5 * 66 + 4 * 64 + 2 * 1114) + 8 * 2 + 8 * 256 + 4 * 2),
+        ("tail-values-in-chunks-of-1-step",
+         4 * (5 * 66 + 4 * 64 + 2 * 1114) + 8 * 2 + 8 * 256 + 4 * 2),
+        ("tail-values-in-chunks-of-3-steps",
+         4 * (5 * 66 + 4 * 64 + 2 * 1114) + 8 * 2 + 8 * 256 + 4 * 2),
+        # eight step sizes of one init on random 2-D data of ten groups: five
+        # layers repeat and leave the transient, three have not repeated by
+        # its end, so the one tail block steps the whole tail
+        ("one-init-2d", 8 * 514 + 4 * 6 + 3 * 424 + 8 * 256),
         ("period-2-tail-1", 5 * (3 * 65 + 2 * 64) + 15 * 1),
         ("periods-1-to-8", 5 * (6 * 68 + 5 * 60 + 4 * 4 + 3 * 126 + 2 * 778) + 30 * 8),
         ("diverging-in-transient", 14 * 66 + 14 * 2),
@@ -563,11 +607,24 @@ class TestBifurcationSweep:
             grid = [7.0, 7.5, 9.0, 10.0]
         elif case == "never-closing-8":
             grid = [8.0]
-        elif case == "closed-and-open-blocks":
+        elif case.startswith(("closed-and-open-blocks", "tail-values-in-chunks")):
             # 2**11 floats hold the tails of two step sizes of four inits:
             # blocks [7, 7.5] and [10] close, [8, 9] holds the open layer 8
             monkeypatch.setattr(analysis, "_SWEEP_BLOCK_FLOATS", 2**11)
             grid, kw["n_inits"] = [7.0, 7.5, 8.0, 9.0, 10.0], 4
+            # a two-layer block has 2 * 4 * 2 margins a step, so 16 or 48
+            # margins a chunk evaluate its values 1 or 3 steps at a time:
+            # 256 tail steps end in a short chunk of 1, the closed blocks'
+            # 2 steps in one or two chunks
+            chunk_steps = {"tail-values-in-chunks-of-1-step": 1,
+                           "tail-values-in-chunks-of-3-steps": 3}.get(case)
+            if chunk_steps is not None:
+                monkeypatch.setattr(analysis, "_LOSS_BLOCK_FLOATS", 16 * chunk_steps)
+        elif case == "one-init-2d":
+            # (1, G) layers, whose products take numpy's one-row paths
+            obj = g.Objective(random_nonseparable(np.random.default_rng(4), 2), g.logistic())
+            grid = np.linspace(0.5, 1.6, 8) * g.minimize(obj).eta_two_lambda
+            kw.update(n_inits=1, T=1200)
         elif case == "period-2-tail-1":
             # every cell repeats with period 2 > tail: the block steps its tail
             grid, kw["tail"] = [7.0, 9.0, 10.0], 1

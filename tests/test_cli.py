@@ -76,6 +76,16 @@ class TestTrajectory:
         assert text.splitlines()[0] == "t,loss,w_1"
         assert (out_dir / "loss.svg").exists()
 
+    def test_short_tail_says_classification_was_skipped(self, capsys, tmp_path):
+        # 2000 iterations leave 2001 dense rows, and --k-max 2048 needs 4096:
+        # the report names the skip rather than ending after closed_period
+        code, out, _ = run_cli(
+            capsys, "trajectory", "--data", str(RECIPES / "toy_n2.cds"), "--eta", "6.5",
+            "--w0", "0.3", "--iters", "2000", "--out", str(tmp_path / "run"))
+        assert code == 0
+        assert out.splitlines() == ["closed_at = 129, closed_period = 2",
+                                    "classification = skipped (dense tail 2001 < 2 * k_max 4096)"]
+
     def test_eta_and_gamma_mutually_exclusive(self, capsys, toy2_file):
         # both, then neither: exactly one step-size flag is required
         for step in (["--eta", "1.0", "--gamma", "0.5"], []):
@@ -269,6 +279,20 @@ class TestUsageErrors:
         assert code == 1
         assert err.startswith("error: ")
         assert not (out_dir / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--data", str(RECIPES / "toy_n2.cds"), "--seed", "1"],
+        ["solve", "--data", str(RECIPES / "toy_n2.cds"), "--iters", "3"],
+        ["trajectory", "--data", str(RECIPES / "toy_n2.cds"), "--eta", "1", "--w0", "1",
+         "--seed", "1"],
+        ["eos", "--recipe", str(RECIPES / "period4_1d.json"), "--k", "4", "--seed", "1"],
+    ], ids=["solve-seed", "solve-iters", "trajectory-seed", "eos-seed"])
+    def test_flags_nothing_reads_are_rejected(self, capsys, tmp_path, argv):
+        # only bifurcate and repro draw from a seed, and solve runs no GD
+        code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert "unrecognized arguments" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("eta_min", ["nan", "-1", "0"])
     def test_step_size_grid_out_of_range_exits_1(self, capsys, tmp_path, eta_min):

@@ -58,3 +58,25 @@ def test_repeat_check_only_in_the_orbit_driver(path):
         assert lines, "dynamics.py no longer defines the repeat check"
     else:
         assert not lines, f"{path.name} names _RepeatCheck on lines {lines}"
+
+
+def _tail_loop(tree):
+    """The ``for k in range(steps)`` loop of ``bifurcation_sweep``."""
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and fn.name == "bifurcation_sweep":
+            for node in ast.walk(fn):
+                if isinstance(node, ast.For) and isinstance(node.target, ast.Name) \
+                        and node.target.id == "k" and ast.unparse(node.iter) == "range(steps)":
+                    return node
+    return None
+
+
+def test_sweep_tail_loop_evaluates_nothing():
+    # the tail records states only; losses and probes are evaluated after
+    # the loop in chunks of steps, one array call each instead of one per step
+    loop = _tail_loop(ast.parse((SRC / "analysis.py").read_text()))
+    assert loop is not None, "bifurcation_sweep has no `for k in range(steps)` loop"
+    calls = [ast.unparse(node.func) for stmt in loop.body for node in ast.walk(stmt)
+             if isinstance(node, ast.Call)]
+    evaluating = [c for c in calls if c == "sigmoid" or c.endswith(".f")]
+    assert not evaluating, f"the sweep's tail loop calls {evaluating}"
