@@ -11,6 +11,7 @@ tracks the top Hessian eigenvalue along a run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -224,8 +225,10 @@ class BifurcationSweep:
 
 
 # From this many sorted, distinct values on, _dedup first tests every gap at
-# once; below it the loop is cheaper than the array test.
+# once; below it the loop is cheaper than the array test.  Up to
+# _DEDUP_SHORT_MAX values it takes no array step at all.
 _DEDUP_LOOP_MAX = 64
+_DEDUP_SHORT_MAX = 2
 
 
 def _dedup(values: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
@@ -237,28 +240,39 @@ def _dedup(values: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
     neighbour gap is tested at once first: if each passes, the loop would
     keep every value, since it then compares each value with the one before
     it by the same binary64 operations, so the values are returned as they
-    are.  Otherwise the loop runs."""
-    vals = np.sort(np.asarray(values, dtype=float))
-    vals = vals[np.isfinite(vals)]
-    if len(vals) == 0:
-        return vals
-    # an exact repeat always collapses into the representative before it
-    vals = vals[np.concatenate(([True], vals[1:] != vals[:-1]))]
-    if len(vals) > _DEDUP_LOOP_MAX:
-        lo, hi = vals[:-1], vals[1:]
-        # ascending, so hi - lo is |hi - lo|; an overflow gives inf, as in the loop
-        with np.errstate(over="ignore"):
-            keep = hi - lo > rtol * np.maximum(np.maximum(np.abs(hi), np.abs(lo)), 1.0)
-        if keep.all():
+    are.  Otherwise the loop runs.
+
+    Most sweep cells give one or two values (a fixed point, a 2-cycle);
+    up to ``_DEDUP_SHORT_MAX`` of them are sorted, filtered and de-repeated
+    as Python floats, with the result the arrays give: ``sorted`` keeps
+    the order of -0.0 and 0.0 as ``np.sort`` does on two values."""
+    vals = np.asarray(values, dtype=float)
+    if vals.ndim == 1 and len(vals) <= _DEDUP_SHORT_MAX:
+        vals = sorted([v for v in vals.tolist() if math.isfinite(v)])
+        if len(vals) == 2 and vals[1] == vals[0]:
+            del vals[1]
+    else:
+        vals = np.sort(vals)
+        vals = vals[np.isfinite(vals)]
+        if len(vals) == 0:
             return vals
-    # Python floats run the comparison faster than numpy scalars, with the
-    # same binary64 arithmetic
-    vals = vals.tolist()
-    out = [vals[0]]
+        # an exact repeat always collapses into the representative before it
+        vals = vals[np.concatenate(([True], vals[1:] != vals[:-1]))]
+        if len(vals) > _DEDUP_LOOP_MAX:
+            lo, hi = vals[:-1], vals[1:]
+            # ascending, so hi - lo is |hi - lo|; an overflow gives inf, as in the loop
+            with np.errstate(over="ignore"):
+                keep = hi - lo > rtol * np.maximum(np.maximum(np.abs(hi), np.abs(lo)), 1.0)
+            if keep.all():
+                return vals
+        # Python floats run the comparison faster than numpy scalars, with
+        # the same binary64 arithmetic
+        vals = vals.tolist()
+    out = vals[:1]
     for v in vals[1:]:
         if abs(v - out[-1]) > rtol * max(1.0, abs(v), abs(out[-1])):
             out.append(v)
-    return np.array(out)
+    return np.array(out)                   # float64, also when empty
 
 
 # A sweep's transient stack holds at most this many floats in each buffer of

@@ -389,6 +389,69 @@ class TestDedup:
         self._check(vals, 0.0, 200)
 
 
+def _first_kept_above(v, rtol):
+    """The smallest float above v that _dedup keeps apart from v."""
+    u = v + rtol * max(1.0, abs(v))
+    while abs(u - v) <= rtol * max(1.0, abs(u), abs(v)):
+        u = math.nextafter(u, math.inf)
+    while abs(math.nextafter(u, -math.inf) - v) > rtol * max(1.0, abs(u), abs(v)):
+        u = math.nextafter(u, -math.inf)
+    return u
+
+
+# a second NaN payload, besides np.nan's
+_NAN_2 = np.array([0x7FF8_0000_0000_0BAD], dtype=np.int64).view(np.float64)[0]
+
+
+def _short_values():
+    """Values of one or two sweep cells: zeros of both signs, NaNs,
+    infinities, and neighbours just outside and just inside rtol of 1.0 and
+    -2.5."""
+    vals = [0.0, -0.0, np.nan, _NAN_2, np.inf, -np.inf, 1.0, -2.5, 7e8]
+    for v in (1.0, -2.5):
+        out = _first_kept_above(v, 1e-9)
+        vals += [out, math.nextafter(out, -math.inf)]
+    return vals
+
+
+class TestDedupShortPath:
+    """Up to _DEDUP_SHORT_MAX values, _dedup works on Python floats; its
+    result is the array path's, byte for byte."""
+
+    @staticmethod
+    def _by_arrays(values, rtol, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(analysis, "_DEDUP_SHORT_MAX", -1)
+            return _dedup(values, rtol=rtol)
+
+    # a negative rtol keeps every distinct value: only the drop of exact
+    # repeats collapses anything then
+    @pytest.mark.parametrize("rtol", [1e-9, 0.0, -1.0])
+    def test_matches_the_array_path(self, rtol, monkeypatch):
+        vals = _short_values()
+        cases = [[]] + [[v] for v in vals] + [[a, b] for a in vals for b in vals]
+        for values in cases:
+            values = np.array(values, dtype=float)
+            got = _dedup(values, rtol=rtol)
+            want = self._by_arrays(values, rtol, monkeypatch)
+            assert got.dtype == want.dtype == np.float64, values
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), values
+            if rtol >= 0.0:                         # the reference keeps exact repeats
+                assert got.tobytes() == _dedup_reference(values, rtol=rtol).tobytes(), values
+
+    def test_the_survivor_of_two_zeros_is_the_first(self):
+        assert _dedup(np.array([0.0, -0.0])).tobytes() == np.array([0.0]).tobytes()
+        assert _dedup(np.array([-0.0, 0.0])).tobytes() == np.array([-0.0]).tobytes()
+
+    def test_gaps_at_the_rtol_boundary(self):
+        out = _first_kept_above(1.0, 1e-9)
+        assert len(_dedup(np.array([out, 1.0]))) == 2
+        assert len(_dedup(np.array([math.nextafter(out, 0.0), 1.0]))) == 1
+        # rtol = 0 keeps one ulp apart, and collapses an exact repeat only
+        assert len(_dedup(np.array([1.0, math.nextafter(1.0, 2.0)]), rtol=0.0)) == 2
+        assert len(_dedup(np.array([1.0, 1.0]), rtol=0.0)) == 1
+
+
 def plain_sweep_cells(obj, grid, n_inits, T, tail, seed, pn_group=None, bound=1e12):
     """A sweep's cells as bytes, from a plain loop: each step size's
     (n_inits, d) layer stepped T times on its own, a cell frozen at zero

@@ -209,6 +209,71 @@ class TestStepWork:
         assert peak(lambda: g.step_many(obj, W, eta, work=work, out=W)) < 64 * 1024
 
 
+def _random_objective(rng, G, d):
+    """Logistic loss on G random groups in d dimensions."""
+    ds = g.Dataset(rng.normal(size=(G, d)), rng.choice([-1, 1], G), rng.integers(1, 6, G))
+    return g.Objective(ds, g.logistic())
+
+
+def _random_states(rng, shape):
+    """States at a random scale, so that margins range from small to
+    saturated."""
+    return rng.normal(size=shape) * 10.0 ** rng.uniform(-2.0, 2.0)
+
+
+class TestMarginOperand:
+    """StepWork multiplies products of two rows or more by a C-contiguous
+    copy of Aᵀ and one-row products by the view obj._A.T; every step has
+    the bits of the map written out over the view."""
+
+    def test_operand_by_shape(self):
+        obj, _ = _basin_objective("logistic")
+        view = obj._A.T
+        assert not view.flags.c_contiguous
+        work = g.StepWork(obj, 64)
+        for shape in ((64,), (2,), (3, 4), (32, 2)):
+            work._fit(shape)
+            assert work.At.flags.c_contiguous and not work.At.flags.writeable, shape
+            assert not np.shares_memory(work.At, obj._A)
+            _assert_same_bits(work.At, view)
+        for shape in ((), (1,), (3, 1)):
+            work._fit(shape)
+            assert work.At.base is obj._A and work.At.strides == view.strides, shape
+
+    @pytest.mark.parametrize("G", [1, 2, 6, 13, 64])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+    def test_batches_and_stacks_match_the_view(self, d, G):
+        rng = np.random.default_rng(100 * d + G)
+        obj = _random_objective(rng, G, d)
+        work = g.StepWork(obj, 16384)
+        for n in (2, 3, 17, 4096, 16384):
+            W, eta = _random_states(rng, (n, d)), rng.uniform(0.1, 10.0)
+            _assert_same_bits(g.step_many(obj, W, eta, work=work),
+                              _step_written_out(obj, W, eta))
+            _assert_same_bits(work.margins, W @ obj._A.T)
+        for s, n in ((2, 2), (3, 17), (4, 256)):
+            W, eta = _random_states(rng, (s, n, d)), rng.uniform(0.1, 10.0, (s, 1, 1))
+            _assert_same_bits(g.step_many(obj, W, eta, work=work),
+                              _step_written_out(obj, W, eta))
+
+    @pytest.mark.parametrize("G", [2, 6, 12, 39])
+    @pytest.mark.parametrize("d", [1, 2, 4, 8])
+    def test_one_row_products_keep_the_view(self, d, G):
+        # one-row products round differently over a copy of Aᵀ: on random
+        # data about half of (2,) @ (2, 6) margins move, so these stay on
+        # the view
+        rng = np.random.default_rng(7 * d + G)
+        obj = _random_objective(rng, G, d)
+        work = g.StepWork(obj, 8)
+        for _ in range(20):
+            for shape, eta in (((d,), 0.7), ((1, d), 0.7), ((1, d), np.array([[0.3]])),
+                               ((5, 1, d), rng.uniform(0.1, 10.0, (5, 1, 1)))):
+                W = _random_states(rng, shape)
+                _assert_same_bits(g.step_many(obj, W, eta, work=work),
+                                  _step_written_out(obj, W, eta))
+                _assert_same_bits(work.margins, W @ obj._A.T)
+
+
 class TestRun:
     def test_converges_below_two_over_L(self):
         rng = np.random.default_rng(2)
@@ -774,6 +839,68 @@ class TestRepeatCheck:
         assert found == {i: brent(mu, lam) for i, (mu, lam) in enumerate(cases)}
         assert not check.open.any()
 
+    @staticmethod
+    def _by_all_coordinates(seq):
+        """Brent's check written plainly: every coordinate compared at once,
+        on states that all start at t = 0."""
+        ref, r, span = seq[0], 0, 1
+        period = np.zeros(seq[0].shape[:-1], dtype=np.int64)
+        hits = []
+        for u in range(1, len(seq)):
+            hit = np.all(seq[u] == ref, axis=-1) & (period == 0)
+            period[hit] = u - r
+            hits.append(hit)
+            if u - r == span:
+                ref, r, span = seq[u], u, 2 * span
+        return hits, period
+
+    # bit patterns that match often: zeros of both signs, two NaN payloads,
+    # an infinity and two plain values
+    _POOL = np.array([0.0, -0.0, np.nan, 1.0, np.inf, -2.5, np.nan]).view(np.int64)
+    _POOL[-1] ^= 0xBAD
+
+    @pytest.mark.parametrize("shape", [(40, 1), (40, 3), (5, 8, 3)], ids=str)
+    def test_matches_an_all_coordinate_comparison(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        # each state cycles through its own random period of pool values
+        # after a random lead-in; now and then its coordinates 1 on turn
+        # into a NaN, so that coordinate 0 matches alone
+        steps = 300
+        lead = rng.integers(0, 20, shape[:-1])
+        lam = rng.integers(1, 12, shape[:-1])
+        orbit = rng.integers(0, len(self._POOL), shape[:-1] + (12, shape[-1]))
+        t = np.arange(steps).reshape((steps,) + (1,) * (len(shape) - 1))
+        phase = np.where(t < lead, (t * 5) % 12, (lead + (t - lead) % lam) % 12)
+        seq = np.take_along_axis(orbit[None], phase[..., None, None], axis=-2)[..., 0, :]
+        seq = self._POOL[seq]
+        flip = rng.random(seq.shape[:-1]) < 0.02
+        seq[..., 1:][flip] = self._POOL[2]
+        want_hits, want_period = self._by_all_coordinates(seq)
+        check = _RepeatCheck(seq[0].copy())
+        for u in range(1, steps):
+            hit = check(seq[u], u)
+            want = want_hits[u - 1]
+            if hit is None:
+                assert not want.any(), u
+            else:
+                assert hit.tolist() == want.tolist(), u
+        assert check.period.tolist() == want_period.tolist()
+        assert (check.open == (want_period == 0)).all()
+        assert want_period.any()                    # the case is not empty
+
+    def test_first_coordinate_alone_is_no_repeat(self):
+        # coordinate 0 repeats its bytes, another does not (-0.0 against
+        # 0.0, one NaN payload against another)
+        nan_b = np.array([np.nan]).view(np.int64) ^ 0xBAD
+        start = _row_bits([[1.0, 0.0, 2.0], [1.0, 3.0, np.nan], [4.0, 5.0, 6.0]])
+        later = start.copy()
+        later[0, 1] = _row_bits([[-0.0]])[0, 0]
+        later[1, 2] = nan_b[0]
+        check = _RepeatCheck(start)
+        hit = check(later, 1)
+        assert hit.tolist() == [False, False, True]
+        assert check.period.tolist() == [0, 0, 1]
+
     def test_keep_selects_rows(self):
         check = _RepeatCheck(_row_bits([[1.0], [2.0], [3.0]]))
         check(_row_bits([[1.0], [5.0], [6.0]]), 1)
@@ -782,6 +909,12 @@ class TestRepeatCheck:
         # the reference moved to t = 1: row 3's is 6.0
         assert check(_row_bits([[1.0], [6.0]]), 2).tolist() == [False, True]
         assert check.period.tolist() == [1, 1]
+
+    def test_keep_takes_indices(self):
+        check = _RepeatCheck(_row_bits([[1.0], [2.0], [3.0]]))
+        check(_row_bits([[1.0], [5.0], [6.0]]), 1)
+        check.keep(np.array([0, 2]))
+        assert check.period.tolist() == [1, 0] and check.open.tolist() == [False, True]
 
 
 class TestStateBlocks:

@@ -80,3 +80,41 @@ def test_sweep_tail_loop_evaluates_nothing():
              if isinstance(node, ast.Call)]
     evaluating = [c for c in calls if c == "sigmoid" or c.endswith(".f")]
     assert not evaluating, f"the sweep's tail loop calls {evaluating}"
+
+
+def _takes_a_transpose(fn) -> list:
+    """Lines of ``fn`` that take Aᵀ: ``.T`` of ``<x>._A`` or of a name bound
+    to ``<x>._A``."""
+    bound = {target.id for node in ast.walk(fn) if isinstance(node, ast.Assign)
+             and isinstance(node.value, ast.Attribute) and node.value.attr == "_A"
+             for target in node.targets if isinstance(target, ast.Name)}
+    return [node.lineno for node in ast.walk(fn)
+            if isinstance(node, ast.Attribute) and node.attr == "T"
+            and (isinstance(node.value, ast.Attribute) and node.value.attr == "_A"
+                 or isinstance(node.value, ast.Name) and node.value.id in bound)]
+
+
+def test_step_products_read_the_workspace_operand():
+    # StepWork picks Aᵀ's layout by the product's shape: a C-contiguous copy
+    # for two rows or more (three to four times faster in OpenBLAS, same
+    # bits), the view for one row (where the copy rounds differently).  A
+    # margin product that builds its own Aᵀ would bring back the slow
+    # operand or the one that moves bits.
+    tree = ast.parse((SRC / "dynamics.py").read_text())
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    margins = [node for node in ast.walk(defs["step_many"])
+               if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.matmul"
+               and any(kw.arg == "out" and ast.unparse(kw.value) == "work.margins"
+                       for kw in node.keywords)]
+    assert len(margins) == 1, "step_many has no one margin product into work.margins"
+    assert ast.unparse(margins[0].args[1]) == "work.At", ast.unparse(margins[0])
+    assert _takes_a_transpose(defs["StepWork"]), "StepWork no longer builds Aᵀ"
+    # the Lyapunov estimate's curvatures of recorded states are not a step
+    allowed = {"StepWork", "_lyapunov_from_states"}
+    elsewhere = {}
+    for node in tree.body:
+        name, lines = getattr(node, "name", "<module>"), _takes_a_transpose(node)
+        if lines and name not in allowed:
+            elsewhere.setdefault(name, []).extend(lines)
+    assert not elsewhere, f"dynamics.py takes Aᵀ outside StepWork: {elsewhere}"
