@@ -10,9 +10,10 @@ Subcommands map one-to-one onto the library pipelines:
   eos         stacked run whose sharpness settles above 2/eta
   repro       run every checked-in recipe end-to-end
 
-Exit codes: 0 success, 1 usage error (including a step size or w0 the
-library rejects), 2 domain error (separable or degenerate data, or a
-recipe without its cycle).  All outputs are deterministic given the flags;
+Exit codes: 0 success, 1 usage error (a flag out of range, or any value
+the library rejects with ValueError), 2 domain error (separable or
+degenerate data, or a recipe without its cycle).  ``main`` alone maps
+exceptions to exit codes.  All outputs are deterministic given the flags;
 ``bifurcate`` and ``repro`` draw their initializations from ``--seed``.
 """
 
@@ -58,10 +59,6 @@ EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 
 
-class UsageError(Exception):
-    """Usage error carrying its message; mapped to exit code 1 in main()."""
-
-
 def _common_flags(p: argparse.ArgumentParser, need_eta: bool = True):
     """The dataset and loss flags, and with ``need_eta`` the step size and
     the ``--iters`` that ``_run_config`` reads."""
@@ -104,24 +101,20 @@ def _parse_w0(text: str, dim: int) -> np.ndarray:
     if len(vals) == 1 and dim > 1:
         vals = vals * dim
     if len(vals) != dim:
-        raise UsageError(f"--w0 has {len(vals)} entries, dataset has dimension {dim}")
+        raise ValueError(f"--w0 has {len(vals)} entries, dataset has dimension {dim}")
     if not np.all(np.isfinite(vals)):
-        raise UsageError(f"--w0 entries must be finite, got {text!r}")
+        raise ValueError(f"--w0 entries must be finite, got {text!r}")
     return np.array(vals)
 
 
 def _run_config(args, obj, sol=None) -> GDConfig:
     """GDConfig from --eta/--gamma/--ref, --w0, --iters and --record-every;
-    minimizes only for --gamma unless given ``sol``.  A step size or w0 the
-    library rejects is a usage error."""
+    minimizes only for --gamma unless given ``sol``."""
     if sol is None and args.gamma is not None:
         sol = minimize(obj)
-    try:
-        eta = resolve_eta(args.eta, args.gamma, args.ref, sol)
-        return GDConfig(w0=_parse_w0(args.w0, obj.dim), max_iters=args.iters, eta=eta,
-                        record_every=getattr(args, "record_every", 1))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    eta = resolve_eta(args.eta, args.gamma, args.ref, sol)
+    return GDConfig(w0=_parse_w0(args.w0, obj.dim), max_iters=args.iters, eta=eta,
+                    record_every=getattr(args, "record_every", 1))
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +245,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_trajectory(args) -> int:
-    try:
-        check_cycle_args(args.k_max)  # before the run, which may be long
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    check_cycle_args(args.k_max)  # before the run, which may be long
     obj = _objective(args)
     traj = _write_trajectory(args.out or Path("."), obj, _run_config(args, obj), args.sharpness)
     if traj.diverged:
@@ -277,16 +267,10 @@ def cmd_trajectory(args) -> int:
 
 
 def cmd_psd(args) -> int:
-    try:
-        check_psd_window(args.window)  # before the run, which may be long
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    check_psd_window(args.window)  # before the run, which may be long
     obj = _objective(args)
     traj = run(obj, _run_config(args, obj))
-    try:
-        res = _write_psd(args.out or Path("."), traj, args.window)
-    except ValueError as exc:  # window longer than the tail
-        raise UsageError(str(exc)) from None
+    res = _write_psd(args.out or Path("."), traj, args.window)
     top = int(np.argmax(res.power[1:]) + 1) if len(res.power) > 1 else 0
     print(f"dominant_freq = {format(res.freqs[top], '.17g')}")
     return EXIT_OK
@@ -295,13 +279,10 @@ def cmd_psd(args) -> int:
 def cmd_bifurcate(args) -> int:
     obj = _objective(args)
     if args.eta_max <= args.eta_min:
-        raise UsageError("--eta-max must exceed --eta-min")
-    try:
-        grid = np.linspace(args.eta_min, args.eta_max, args.steps)
-        sweep = _write_sweep(args.out or Path("."), obj, grid, args.inits, args.iters, args.seed,
-                             args.pn_group)
-    except ValueError as exc:  # the step sizes, --steps, --inits, --iters or --pn-group
-        raise UsageError(str(exc)) from None
+        raise ValueError("--eta-max must exceed --eta-min")
+    grid = np.linspace(args.eta_min, args.eta_max, args.steps)
+    sweep = _write_sweep(args.out or Path("."), obj, grid, args.inits, args.iters, args.seed,
+                         args.pn_group)
     print(f"cells = {len(sweep.cells)}")
     print(f"row_steps = {sweep.row_steps}")
     return EXIT_OK
@@ -310,15 +291,12 @@ def cmd_bifurcate(args) -> int:
 def cmd_basin(args) -> int:
     obj = _objective(args)
     if obj.dim != 2:
-        raise UsageError("basin rasterization needs a 2-dimensional dataset")
+        raise ValueError("basin rasterization needs a 2-dimensional dataset")
     sol = minimize(obj)
     cfg = _run_config(args, obj, sol)
-    try:
-        rep, raster = _write_basin(
-            args.out or Path("."), obj, cfg, sol, (args.xmin, args.xmax, args.ymin, args.ymax),
-            (args.nx, args.ny), args.basin_iters, gamma=args.gamma)
-    except ValueError as exc:  # --nx, --ny, --basin-iters or the bounds out of range
-        raise UsageError(str(exc)) from None
+    rep, raster = _write_basin(
+        args.out or Path("."), obj, cfg, sol, (args.xmin, args.xmax, args.ymin, args.ymax),
+        (args.nx, args.ny), args.basin_iters, gamma=args.gamma)
     print(f"cycle_period = {rep.period}")
     print(f"row_steps = {raster.row_steps}")
     for how, cells in raster.stops.items():
@@ -330,12 +308,16 @@ def cmd_basin(args) -> int:
 
 
 def cmd_eos(args) -> int:
+    for flag, value, least in (("--k", args.k, 2), ("--iters", args.iters, 1),
+                               ("--stack-iters", args.stack_iters, 1), ("--tail", args.tail, 1)):
+        if value < least:  # before eos_demo's runs, which may be long
+            raise ValueError(f"{flag} must be at least {least}, got {value}")
     try:
         recipe = _recipe_1d(json.loads(args.recipe.read_text()))
     except KeyError as exc:
-        raise UsageError(f"recipe {args.recipe} lacks the key {exc}") from None
+        raise ValueError(f"recipe {args.recipe} lacks the key {exc}") from None
     except (TypeError, ValueError) as exc:  # invalid JSON or an out-of-range value
-        raise UsageError(f"recipe {args.recipe}: {exc}") from None
+        raise ValueError(f"recipe {args.recipe}: {exc}") from None
     eta, sharp = _write_eos(args.out or Path("."), recipe, args.k, get_loss(args.loss),
                             args.iters, args.stack_iters, args.tail)
     print(f"eta = {format(eta, '.17g')}")
@@ -463,7 +445,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 0 for --help; treat anything else as usage error
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    except (UsageError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError) as exc:  # the CLI's checks and the library's
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except GDCyclesError as exc:

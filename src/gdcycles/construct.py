@@ -25,7 +25,7 @@ import numpy as np
 
 from .analysis import detect_cycle
 from .data import Dataset, check_separable
-from .dynamics import GDConfig, run
+from .dynamics import GDConfig, resolve_eta, run
 from .exceptions import ConvergenceError, SeparableDataError
 from .losses import ScalarLoss, logistic, sigmoid
 from .objective import Objective, minimize
@@ -185,7 +185,7 @@ def _verify_built(ds: Dataset, loss: ScalarLoss, gamma: float):
     sol = minimize(obj)
     if not np.all(np.isfinite(sol.w_star)):
         raise ConvergenceError("minimizer is not finite")
-    eta = gamma / sol.lambda_star
+    eta = resolve_eta(gamma=gamma, solution=sol)
     if gamma < 2.0 and not eta < sol.eta_two_lambda:
         raise AssertionError("resolved step size must sit strictly below 2/lambda")
     return obj, sol, eta
@@ -367,6 +367,6 @@ def eos_demo(
 
     stacked = kronecker_stack(ds, k)
     sol = minimize(Objective(stacked, loss))
-    eta_stacked = recipe.gamma / sol.lambda_star
+    eta_stacked = resolve_eta(gamma=recipe.gamma, solution=sol)
     w0 = rep.orbit[:, 0].copy()
     return stacked, eta_stacked, w0

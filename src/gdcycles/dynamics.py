@@ -340,9 +340,9 @@ def run(obj: Objective, cfg: GDConfig) -> Trajectory:
     truncates the run and sets the flag instead of raising: step-size
     sweeps must tolerate diverging cells.
 
-    The loop only steps; it keeps the margins of each recorded iterate, and
-    the losses are evaluated from them after the loop, block by block, each
-    row's loss bit-identical to ``obj.value``.
+    The loop only steps and keeps the recorded iterates.  The losses are
+    evaluated after the loop from their margins (``obj.margins`` of the
+    stack), block by block, each row's loss bit-identical to ``obj.value``.
 
     The map is a pure function of the bits of w, so once an iterate repeats
     an earlier one byte for byte, the orbit is periodic from there on.  Each
@@ -361,30 +361,27 @@ def run(obj: Objective, cfg: GDConfig) -> Trajectory:
     rec_mask = (t_all % cfg.record_every == 0) | (t_all >= dense_from_t)
     rec_times = t_all[rec_mask]
 
-    A = obj._A
     w = cfg.w0.astype(float).copy()
     if w.shape != (obj.dim,):
         raise ValueError(f"w0 has shape {w.shape}, expected ({obj.dim},)")
     nxt = np.empty_like(w)                # step_many writes w_{t+1} here
-    work = StepWork(obj, 1)               # and the margins of w_t here
+    work = StepWork(obj, 1)
     step_eta = np.array(eta)              # 0-d: a float is converted on every call
 
     iterates = np.empty((len(rec_times), obj.dim))
-    margins = np.empty((len(rec_times), len(A)))
     rec = rec_mask.tolist()
     n = 0
     stepped = None                        # rows recorded by stepping, if filled
     escaped = False                       # the divergence guard stopped the run
     ref, r, span = w.tobytes(), 0, 1      # Brent's reference w_r and its span
-    closed_at = period = cycle = None     # cycle: (w_t, z_t) from closed_at on
+    closed_at = period = cycle = None     # cycle: the states from closed_at on
     for t in range(T):
         step_many(obj, w, step_eta, work=work, out=nxt)
         if rec[t]:
             iterates[n] = w
-            margins[n] = work.margins
             n += 1
         if cycle is not None:
-            cycle.append((w.copy(), work.margins.copy()))
+            cycle.append(w.copy())
         w, nxt = nxt, w
         if diverged(w):
             escaped = True
@@ -406,20 +403,16 @@ def run(obj: Objective, cfg: GDConfig) -> Trajectory:
     else:
         if rec[T]:
             iterates[n] = w
-            margins[n] = A @ w
             n += 1
 
     losses = np.empty(n)
-    if stepped is None:
-        _losses_from_margins(obj, margins[:n], out=losses)
-    else:
-        # the filled rows' margins are never read, so only the states and
-        # the losses of the cycle are copied
-        _losses_from_margins(obj, margins[:stepped], out=losses[:stepped])
-        states, zs = (np.array(rows) for rows in zip(*cycle))
-        _fill_periodic(rec_times[stepped:], closed_at,
-                       (iterates[stepped:], states),
-                       (losses[stepped:], _losses_from_margins(obj, zs)))
+    stepped = n if stepped is None else stepped
+    _losses_from_margins(obj, obj.margins(iterates[:stepped]), out=losses[:stepped])
+    if stepped < n:
+        # the filled rows copy the states and losses of the cycle
+        states = np.array(cycle)
+        _fill_periodic(rec_times[stepped:], closed_at, (iterates[stepped:], states),
+                       (losses[stepped:], _losses_from_margins(obj, obj.margins(states))))
 
     return Trajectory(
         times=rec_times[:n],

@@ -77,7 +77,13 @@ class Objective:
         return self.ds.dim
 
     def margins(self, w: np.ndarray) -> np.ndarray:
-        return self._A @ np.asarray(w, dtype=float)
+        """The margins A w of a state, shape (d,), or of each state of a stack,
+        shape (..., d): one matrix-vector product per state, bit for bit
+        ``A @ w`` (``W @ A.T`` rounds some rows differently)."""
+        w = np.asarray(w, dtype=float)
+        if w.ndim == 0:
+            raise ValueError("margins need a state of shape (d,) or (..., d), not a scalar")
+        return np.matmul(self._A, w[..., None])[..., 0]
 
     def value(self, w) -> float:
         v = float(self._wts @ self.loss.f(self.margins(w)))
@@ -213,6 +219,8 @@ def minimize(
     """
     if method not in ("auto", "newton", "gd"):
         raise ValueError("method must be auto, newton, or gd")
+    if not 0.0 < tol < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     d = obj.dim
     if _min_eigenvalue_ratio(obj.second_moment) < 1e-12:
         raise DegenerateDataError(

@@ -397,3 +397,55 @@ class TestUsageErrors:
                                "--out", str(tmp_path / "eos"))
         assert code == 1
         assert err.startswith(f"error: recipe {rp}")
+
+    @pytest.mark.parametrize("flag,value,least", [
+        ("--k", "1", 2), ("--k", "0", 2), ("--tail", "0", 1), ("--iters", "0", 1),
+        ("--stack-iters", "0", 1), ("--stack-iters", "-3", 1),
+    ])
+    def test_eos_counts_rejected_before_the_demo(self, capsys, tmp_path, monkeypatch,
+                                                 flag, value, least):
+        # --tail 0 used to write a header-only CSV, then die in np.min; --iters 0
+        # and --stack-iters 0 in a max_iters traceback; --k 1 exited 2 as if the
+        # recipe lacked its cycle
+        def no_demo(*args, **kwargs):
+            raise AssertionError("eos ran eos_demo before checking its flags")
+
+        monkeypatch.setattr(cli, "eos_demo", no_demo)
+        out_dir = tmp_path / "eos"
+        argv = {"--k": "4", "--tail": "16", "--iters": "100", "--stack-iters": "100"}
+        argv[flag] = value
+        code, out, err = run_cli(
+            capsys, "eos", "--recipe", str(RECIPES / "period4_1d.json"),
+            *(x for item in argv.items() for x in item), "--out", str(out_dir))
+        assert code == 1 and out == ""
+        assert err == f"error: {flag} must be at least {least}, got {value}\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_solve_tol_out_of_range_exits_1(self, capsys, tmp_path, tol):
+        # a tol Newton can never meet used to run 500 steps and exit 2 with
+        # "Newton did not reach tol"
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, "solve", "--data", str(RECIPES / "toy_n2.cds"),
+                                 "--tol", tol, "--out", str(out_dir))
+        assert code == 1 and out == ""
+        assert err.startswith("error: tol must be positive and finite")
+        assert not out_dir.exists()
+
+    def test_library_value_error_exits_1(self, capsys, monkeypatch):
+        # main maps every ValueError to exit 1, wherever it is raised
+        def bad(*args, **kwargs):
+            raise ValueError("out of range")
+
+        monkeypatch.setattr(cli, "minimize", bad)
+        code, out, err = run_cli(capsys, "solve", "--data", str(RECIPES / "toy_n2.cds"))
+        assert (code, out, err) == (1, "", "error: out of range\n")
+
+    def test_other_exceptions_propagate(self, monkeypatch):
+        # neither a usage nor a domain error: a traceback, not an exit code
+        def bad(*args, **kwargs):
+            raise FloatingPointError("overflow")
+
+        monkeypatch.setattr(cli, "minimize", bad)
+        with pytest.raises(FloatingPointError):
+            main(["solve", "--data", str(RECIPES / "toy_n2.cds")])

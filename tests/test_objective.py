@@ -59,6 +59,54 @@ class TestValue:
             obj.value(np.array([1.0]))
 
 
+
+def _same_bits(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(np.ascontiguousarray(got).view(np.int64),
+                                  np.ascontiguousarray(want).view(np.int64))
+
+
+class TestMargins:
+    # run evaluates its losses from the margins of the whole recorded stack,
+    # so a stacked call must give each state the bits of its own A @ w
+    @pytest.mark.parametrize("G", [1, 2, 6, 13, 64])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+    def test_stack_matches_each_state(self, G, d):
+        rng = np.random.default_rng(1000 * G + d)
+        xs = rng.standard_normal((G, d)) * 10.0 ** rng.integers(-3, 4, (G, d))
+        xs[rng.random((G, d)) < 0.2] = 0.0
+        xs[0, 0] = 1.0                           # not all zero
+        ds = g.Dataset(xs, rng.choice([-1, 1], G), rng.integers(1, 50, G))
+        obj = g.Objective(ds, g.logistic())
+        for shape in ((17, d), (3, 5, d), (1, d)):
+            W = rng.standard_normal(shape) * 10.0 ** rng.integers(-2, 3, shape)
+            W[rng.random(shape) < 0.15] = 1e12 * (1.0 - 2.0 ** -40)
+            W[rng.random(shape) < 0.1] = 0.0
+            W[rng.random(shape) < 0.1] = -0.0
+            W[rng.random(shape) < 0.1] *= -1e12
+            got = obj.margins(W)
+            want = np.array([obj._A @ w for w in W.reshape(-1, d)]).reshape(shape[:-1] + (G,))
+            _same_bits(got, want)
+            w = W.reshape(-1, d)[-1]
+            _same_bits(obj.margins(w), obj._A @ w)
+
+    @pytest.mark.parametrize("w", [3.0, np.asarray(3.0), np.float64(-0.0)])
+    def test_scalar_state_raises(self, w):
+        # A @ w rejects a 0-d operand; the stacked product alone would take it
+        # for a one-coordinate state
+        obj = g.Objective(base_1d(), g.logistic())
+        with pytest.raises(ValueError):
+            obj.margins(w)
+
+    def test_wrong_length_raises(self):
+        # the stacked product must not broadcast a state of the wrong length
+        obj = g.Objective(base_1d(), g.logistic())
+        with pytest.raises(ValueError):
+            obj.margins(np.zeros(2))
+        with pytest.raises(ValueError):
+            obj.margins(np.zeros((4, 3)))
+
+
 class TestGradientHessianOracles:
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(1)
@@ -304,6 +352,23 @@ class TestMinimize:
         obj = g.Objective(ds, g.squareplus())
         with pytest.raises(g.SeparableDataError, match="separable"):
             g.minimize(obj, tol=1e-30, method="newton")
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf])
+    @pytest.mark.parametrize("method", ["newton", "gd"])
+    def test_tol_out_of_range_raises(self, tol, method):
+        # Newton used to take its 500 steps, then raise ConvergenceError
+        obj = g.Objective(base_1d(), g.logistic())
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            g.minimize(obj, tol=tol, method=method)
+
+    def test_tiny_tol_still_runs(self):
+        # 1e-30 is positive and finite: the symmetric pair meets it at w = 0,
+        # and base_1d runs out of steps instead of being rejected
+        sol = g.minimize(g.Objective(g.parse_compact("1 1 1\n1 1 -1\n"), g.logistic()),
+                         tol=1e-30)
+        assert sol.w_star[0] == 0.0 and sol.iterations == 0
+        with pytest.raises(g.ConvergenceError, match="tol=1e-30"):
+            g.minimize(g.Objective(base_1d(), g.logistic()), tol=1e-30, max_iters=20)
 
     def test_separable_data_gd_hits_cap(self):
         ds = g.parse_compact("3 1 1\n")

@@ -118,3 +118,46 @@ def test_step_products_read_the_workspace_operand():
         if lines and name not in allowed:
             elsewhere.setdefault(name, []).extend(lines)
     assert not elsewhere, f"dynamics.py takes Aᵀ outside StepWork: {elsewhere}"
+
+
+def _names(node, name) -> bool:
+    """Whether ``node`` is the name ``name``, bare or as an attribute."""
+    return (isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name)
+
+
+def test_cli_maps_value_errors_in_main_alone():
+    # main turns any ValueError into exit 1; a wrapper that re-raises it as
+    # another type is a second copy of that decision.  cmd_eos adds the
+    # recipe path to the message and re-raises a ValueError.
+    tree = ast.parse((SRC / "cli.py").read_text())
+    catching = sorted(
+        fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn) if isinstance(node, ast.ExceptHandler) and node.type
+        and any(_names(n, "ValueError") for n in ast.walk(node.type)))
+    assert catching == ["cmd_eos", "main"], catching
+    assert not [node.lineno for node in ast.walk(tree) if _names(node, "UsageError")]
+
+
+def test_run_loop_records_states_only():
+    # the margins of the recorded states are computed after the loop, from
+    # the states, with the same bits; the loop keeps no second copy
+    tree = ast.parse((SRC / "dynamics.py").read_text())
+    fn = next(node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "run")
+    reads = [node.lineno for node in ast.walk(fn) if isinstance(node, ast.Attribute)
+             and node.attr == "margins" and ast.unparse(node.value) == "work"]
+    assert not reads, f"run reads work.margins on lines {reads}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_gamma_resolved_by_resolve_eta_alone(path):
+    # dynamics.resolve_eta is the one place that turns gamma into a step size
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+             and _names(node.right, "lambda_star")]
+    if path.name == "dynamics.py":
+        assert lines, "dynamics.py no longer resolves gamma / lambda_star"
+    else:
+        assert not lines, f"{path.name} divides by lambda_star on lines {lines}"
