@@ -171,10 +171,12 @@ class PsdResult:
     power: np.ndarray   # one-sided, sums to the window variance
 
 
-def check_psd_window(window: int) -> None:
-    """Raise ValueError unless ``window`` is a power of two of at least 2."""
+def check_psd_window(window: int, length: int) -> None:
+    """Raise ValueError unless ``window`` is a power of two in [2, length]."""
     if window < 2 or (window & (window - 1)) != 0:
         raise ValueError(f"window must be a power of two, got {window}")
+    if window > length:
+        raise ValueError(f"window {window} longer than sequence of {length}")
 
 
 def psd(losses: Sequence[float], window: int = 1024) -> PsdResult:
@@ -185,9 +187,7 @@ def psd(losses: Sequence[float], window: int = 1024) -> PsdResult:
     mean-removed window (Parseval).
     """
     losses = np.asarray(losses, dtype=float)
-    check_psd_window(window)
-    if window > len(losses):
-        raise ValueError(f"window {window} longer than sequence of {len(losses)}")
+    check_psd_window(window, len(losses))
     x = losses[-window:]
     x = x - x.mean()
     spec = np.fft.rfft(x)

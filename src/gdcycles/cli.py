@@ -267,7 +267,7 @@ def cmd_trajectory(args) -> int:
 
 
 def cmd_psd(args) -> int:
-    check_psd_window(args.window)  # before the run, which may be long
+    check_psd_window(args.window, args.iters + 1)  # before the run, which may be long
     obj = _objective(args)
     traj = run(obj, _run_config(args, obj))
     res = _write_psd(args.out or Path("."), traj, args.window)

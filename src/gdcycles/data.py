@@ -248,9 +248,16 @@ def _check_2d(pts: np.ndarray) -> SeparabilityVerdict:
     return SeparabilityVerdict("non_separable", None, "2d-angular")
 
 
+def _check_antipodal(pts: np.ndarray) -> Optional[SeparabilityVerdict]:
+    # p_i == -p_j gives w.p_i == -(w.p_j) for every w (a zero row is its own
+    # antipode); adding 0.0 maps -0.0 to 0.0, so bytes compare as floats do
+    rows = {p.tobytes() for p in pts + 0.0}
+    if any(p.tobytes() in rows for p in 0.0 - pts):
+        return SeparabilityVerdict("non_separable", None, "antipodal")
+    return None
+
+
 def _check_perceptron(pts: np.ndarray, cap: int) -> SeparabilityVerdict:
-    if np.any(np.all(pts == 0.0, axis=1)):
-        return SeparabilityVerdict("non_separable", None, "perceptron")
     w = np.zeros(pts.shape[1])
     updates = 0
     while updates < cap:
@@ -266,7 +273,8 @@ def _check_perceptron(pts: np.ndarray, cap: int) -> SeparabilityVerdict:
 def check_separable(ds: Dataset, perceptron_cap: int = 10**6) -> SeparabilityVerdict:
     """Decide strict linear separability (through the origin).
 
-    d=1 and d=2 are exact.  d>=3 runs a perceptron up to ``perceptron_cap``
+    d=1 and d=2 are exact.  d>=3 answers non-separable on an exact antipodal
+    pair of signed points, else runs a perceptron up to ``perceptron_cap``
     updates and reports "unknown" at the cap rather than guessing: a wrong
     non-separable verdict would fabricate a finite minimizer downstream.
     """
@@ -276,7 +284,7 @@ def check_separable(ds: Dataset, perceptron_cap: int = 10**6) -> SeparabilityVer
     elif ds.dim == 2:
         out = _check_2d(pts)
     else:
-        out = _check_perceptron(pts, perceptron_cap)
+        out = _check_antipodal(pts) or _check_perceptron(pts, perceptron_cap)
     if out.verdict == "separable" and not float(np.min(pts @ out.witness)) > 0.0:
         # contract: the witness must survive an exact re-check
         raise AssertionError(f"separating witness {out.witness} fails the exact re-check")

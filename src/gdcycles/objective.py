@@ -29,6 +29,9 @@ __all__ = ["Objective", "Solution", "diverged", "lambda_max", "minimize"]
 # sup-norm past which an iterate counts as diverged
 DIVERGENCE_NORM = 1e12
 
+# Newton steps before minimize raises ConvergenceError
+NEWTON_MAX_STEPS = 500
+
 # Up to this many coordinates, a Python loop over a 1-D state beats the two
 # ufunc calls (0.9 against 2.4 us at one, 2.9 against 3.3 us at 16, 4.5
 # against 2.5 us at 32, numpy 2.4 on a 2-core Xeon).
@@ -137,7 +140,6 @@ class Solution:
     eta_one_lambda: float
     eta_two_lambda: float
     iterations: int
-    method: str
 
     def to_dict(self) -> dict:
         return {
@@ -203,22 +205,16 @@ def _min_eigenvalue_ratio(m: np.ndarray) -> float:
     return float(vals[0]) / top
 
 
-def minimize(
-    obj: Objective,
-    tol: float = 1e-12,
-    method: str = "auto",
-    max_iters: int | None = None,
-) -> Solution:
+def minimize(obj: Objective, tol: float = 1e-12) -> Solution:
     """Find the unique finite minimizer of a non-separable objective.
 
-    Damped Newton for d <= 4, plain GD at eta = 1/L otherwise (or on request
-    via ``method``).  Raises SeparableDataError when iterates run away (the
-    usual symptom of separable data) and DegenerateDataError when the feature
-    second moment is rank deficient, in which case the minimizer is a whole
-    subspace and weight-space iteration is the wrong representation.
+    Damped Newton from w = 0 at every d, until the gradient norm is below
+    ``tol``; ConvergenceError after NEWTON_MAX_STEPS steps.  Raises
+    SeparableDataError when iterates run away (the usual symptom of separable
+    data) and DegenerateDataError when the feature second moment is rank
+    deficient, in which case the minimizer is a whole subspace and
+    weight-space iteration is the wrong representation.
     """
-    if method not in ("auto", "newton", "gd"):
-        raise ValueError("method must be auto, newton, or gd")
     if not 0.0 < tol < np.inf:  # NaN fails both comparisons
         raise ValueError(f"tol must be positive and finite, got {tol}")
     d = obj.dim
@@ -227,62 +223,39 @@ def minimize(
             "feature second moment is rank deficient; minimizer is a subspace"
         )
     L = obj.global_smoothness
-    use_newton = method == "newton" or (method == "auto" and d <= 4)
 
     w = np.zeros(d)
-    iters = 0
-    if use_newton:
-        cap = max_iters or 500
-        mu = 0.0
-        eye = np.eye(d)
-        fw = obj.value(w)
-        while iters < cap:
-            g = obj.gradient(w)
-            if float(np.linalg.norm(g)) < tol:
-                break
-            h = obj.hessian(w)
-            accepted = False
-            while not accepted:
-                try:
-                    step = np.linalg.solve(h + mu * eye, -g)
-                except np.linalg.LinAlgError:
-                    step = None
-                if step is not None and np.all(np.isfinite(step)):
-                    trial = w + step
-                    ft = obj.value(trial)
-                    if ft <= fw:
-                        w, fw = trial, ft
-                        accepted = True
-                        mu = 0.0 if mu <= 1e-12 else mu * 0.25
-                        break
-                mu = 1e-12 if mu == 0.0 else mu * 2.0
-                if mu > 1e16:
-                    raise DegenerateDataError(
-                        "Hessian singular beyond the damping floor"
-                    )
-            iters += 1
-            if diverged(w):
-                raise SeparableDataError(
-                    "divergence while minimizing; data likely separable or degenerate"
-                )
-        else:
-            raise ConvergenceError(f"Newton did not reach tol={tol} in {cap} iterations")
-        method_used = "newton"
-    else:
-        cap = max_iters or 2_000_000
-        eta = 1.0 / L
+    mu = 0.0
+    eye = np.eye(d)
+    fw = obj.value(w)
+    for iters in range(NEWTON_MAX_STEPS):
         g = obj.gradient(w)
-        while float(np.linalg.norm(g)) >= tol:
-            w = w - eta * g
-            iters += 1
-            if iters >= cap:
-                raise ConvergenceError(f"GD did not reach tol={tol} in {cap} iterations")
-            if diverged(w):
-                raise SeparableDataError(
-                    "divergence while minimizing; data likely separable or degenerate"
+        if float(np.linalg.norm(g)) < tol:
+            break
+        h = obj.hessian(w)
+        while True:
+            try:
+                step = np.linalg.solve(h + mu * eye, -g)
+            except np.linalg.LinAlgError:
+                step = None
+            if step is not None and np.all(np.isfinite(step)):
+                trial = w + step
+                ft = obj.value(trial)
+                if ft <= fw:
+                    w, fw = trial, ft
+                    mu = 0.0 if mu <= 1e-12 else mu * 0.25
+                    break
+            mu = 1e-12 if mu == 0.0 else mu * 2.0
+            if mu > 1e16:
+                raise DegenerateDataError(
+                    "Hessian singular beyond the damping floor"
                 )
-            g = obj.gradient(w)
-        method_used = "gd"
+        if diverged(w):
+            raise SeparableDataError(
+                "divergence while minimizing; data likely separable or degenerate"
+            )
+    else:
+        raise ConvergenceError(f"Newton did not reach tol={tol} in {NEWTON_MAX_STEPS} iterations")
 
     grad_norm = float(np.linalg.norm(obj.gradient(w)))
     lam = lambda_max(obj.hessian(w))
@@ -298,5 +271,4 @@ def minimize(
         eta_one_lambda=two_lam / 2.0,
         eta_two_lambda=two_lam,
         iterations=iters,
-        method=method_used,
     )

@@ -343,17 +343,24 @@ class TestUsageErrors:
         assert err.startswith("error: ") and "window" in err
         assert not (out_dir / "psd.csv").exists()
 
-    @pytest.mark.parametrize("window", ["1000", "1", "0"])
-    def test_psd_window_rejected_before_the_run(self, capsys, tmp_path, monkeypatch, window):
+    @pytest.mark.parametrize("window, iters, message", [
+        pytest.param(w, "100000", f"window must be a power of two, got {w}", id=w)
+        for w in ("1000", "1", "0")] + [
+        # a power of two longer than the 101 losses of 100 steps used to be
+        # caught only after the run
+        pytest.param("2048", "100", "window 2048 longer than sequence of 101", id="2048"),
+    ])
+    def test_psd_window_rejected_before_the_run(self, capsys, tmp_path, monkeypatch,
+                                                window, iters, message):
         def no_run(*args, **kwargs):
             raise AssertionError("psd ran GD before checking its window")
 
         monkeypatch.setattr(cli, "run", no_run)
         code, _, err = run_cli(
             capsys, "psd", "--data", str(RECIPES / "toy_n2.cds"), "--eta", "1",
-            "--w0", "1", "--window", window, "--out", str(tmp_path / "out"))
+            "--w0", "1", "--iters", iters, "--window", window, "--out", str(tmp_path / "out"))
         assert code == 1
-        assert err == f"error: window must be a power of two, got {window}\n"
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("k_max", ["0", "-1"])
     def test_k_max_rejected_before_the_run(self, capsys, tmp_path, monkeypatch, k_max):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import gdcycles as g
-from conftest import RECIPE_P4, bisect_root
+from conftest import RECIPE_P4, RECIPE_P7, bisect_root
 
 
 class TestConflictDataset:
@@ -259,6 +259,13 @@ class TestKroneckerStack:
             w_rep = np.repeat(sol.w_star, k)
             lam = g.lambda_max(st.hessian(w_rep))
             assert lam == pytest.approx(sol.lambda_star / k, rel=1e-12)
+        # minimize's own lambda* on the recipes' stacks past d = 4
+        for recipe in (RECIPE_P4, RECIPE_P7):
+            ds = g.build_1d(recipe)[0]
+            sol = g.minimize(g.Objective(ds, g.logistic()))
+            for k in (5, 7, 8):
+                sol_st = g.minimize(g.Objective(g.kronecker_stack(ds, k), g.logistic()))
+                assert sol_st.lambda_star * k == pytest.approx(sol.lambda_star, rel=1e-12)
 
     def test_minimizer_is_base_repeated(self):
         ds = g.parse_compact("5 1 1\n3 1 -1\n")
@@ -267,6 +274,15 @@ class TestKroneckerStack:
         sol_st = g.minimize(st)
         np.testing.assert_allclose(sol_st.w_star, np.repeat(sol.w_star, 3),
                                    atol=1e-10)
+        # the recipes' stacks past d = 4, to rounding: Newton ends at gradient
+        # norms far below tol, so w* does not depend on where the stop fell
+        for recipe in (RECIPE_P4, RECIPE_P7):
+            ds = g.build_1d(recipe)[0]
+            sol = g.minimize(g.Objective(ds, g.logistic()))
+            for k in (5, 7, 8):
+                sol_st = g.minimize(g.Objective(g.kronecker_stack(ds, k), g.logistic()))
+                np.testing.assert_allclose(sol_st.w_star, np.repeat(sol.w_star, k),
+                                           rtol=0, atol=1e-12)
 
     def test_gradient_scales_and_step_cancels(self):
         rng = np.random.default_rng(3)

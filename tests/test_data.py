@@ -213,10 +213,28 @@ class TestSeparabilityHighD:
         assert v.method == "perceptron"
 
     def test_nonseparable_reports_unknown_at_cap(self):
-        rng = np.random.default_rng(9)
-        ds = random_nonseparable(rng, d=4)
+        # e1 + e2 + e3 + (-(e1 + e2 + e3)) = 0, so no w has all four margins
+        # positive, yet no two points are antipodes
+        xs = np.vstack([np.eye(3), -np.ones((1, 3))])
+        ds = g.Dataset(xs, np.ones(4, dtype=int), np.ones(4, dtype=int))
         v = g.check_separable(ds, perceptron_cap=2000)
         assert v.verdict == "unknown"
+
+    def test_antipodal_pair_is_nonseparable_without_perceptron(self):
+        # every row with both labels gives p and -p, a certificate that
+        # needs no perceptron update
+        rng = np.random.default_rng(9)
+        for d in (3, 4, 8):
+            v = g.check_separable(random_nonseparable(rng, d), perceptron_cap=0)
+            assert v.verdict == "non_separable" and v.method == "antipodal"
+            assert v.witness is None
+        # a zero coordinate matches its negation: -(0.0) is -0.0, a different
+        # bit pattern than the 0.0 in the other row; and a zero row is its
+        # own antipode, since its margin is 0 for every w
+        for xs in ([[1.0, 0.0, 2.0], [-1.0, 0.0, -2.0]], [[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]):
+            ds = g.Dataset(np.array(xs), np.ones(2, dtype=int), np.ones(2, dtype=int))
+            v = g.check_separable(ds, perceptron_cap=0)
+            assert v.verdict == "non_separable" and v.method == "antipodal"
 
     def test_failed_witness_recheck_raises(self, monkeypatch):
         # the re-check is a raise, not an assert, so python -O keeps it
