@@ -356,9 +356,17 @@ class TestMinimize:
             g.minimize(obj, tol=1e-30)
 
     @pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf])
-    def test_tol_out_of_range_raises(self, tol):
-        # Newton used to take its 500 steps, then raise ConvergenceError
-        obj = g.Objective(base_1d(), g.logistic())
+    @pytest.mark.parametrize("regime", ["newton", "gd"])
+    def test_tol_out_of_range_raises(self, tol, regime):
+        # Newton used to take its 500 steps, then raise ConvergenceError.
+        # The regimes are the dimensions minimize once split between Newton
+        # (d <= 4) and GD at 1/L (d >= 5); one Newton now serves both, and
+        # both must reject the tolerance before any step
+        if regime == "newton":
+            ds = base_1d()
+        else:
+            ds = random_nonseparable(np.random.default_rng(0), 6, n_rows=24)
+        obj = g.Objective(ds, g.logistic())
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             g.minimize(obj, tol=tol)
 
