@@ -62,10 +62,19 @@ def _out(arr, out=None):
     return float(arr) if arr.ndim == 0 else arr
 
 
-# A float64 one that ufuncs take as it is: a Python float is converted on
-# every call, which costs a one-row sigmoid about 0.8 us.
+# Float64 ones that ufuncs take as they are: a Python float is converted on
+# every call, which adds about 0.3 us to a one-row call (1.06 against 0.77
+# us for np.add, numpy 2.4 on a 2-core Xeon).
 _ONE = np.array(1.0)
 _ONE.flags.writeable = False
+_MINUS_ONE = np.array(-1.0)
+_MINUS_ONE.flags.writeable = False
+
+# Up to this many margins, sigmoid takes -|z| as one np.copysign call
+# rather than np.abs and np.negative (0.32 against 0.60 us at 3 margins,
+# 0.55 against 0.66 us at 256); past a few hundred, numpy's SIMD abs and
+# negative win (40 against 69 us at 98,304).
+_COPYSIGN_MAX = 256
 
 
 def sigmoid(z, out=None, scratch=None):
@@ -76,13 +85,20 @@ def sigmoid(z, out=None, scratch=None):
         z = np.asarray(z, dtype=float)
     e = np.empty(z.shape) if out is None else out
     num = np.empty(e.shape) if scratch is None else scratch
-    np.exp(np.negative(np.abs(z, out=e), out=e), out=e)
+    # -|z|: copysign gives the bits of negating np.abs, a NaN's payload
+    # included
+    if e.size <= _COPYSIGN_MAX:
+        np.copysign(z, _MINUS_ONE, e)
+    else:
+        np.negative(np.abs(z, e), e)
+    np.exp(e, e)
     # the numerator is 1 for z >= 0 and e below.  As 0 <= e <= 1, and e = 1
     # at z = +-0, that is max(e, sign(z)), a NaN's bits included: unlike a
     # boolean mask, sign needs no cast (whose buffer numpy allocates) and
-    # unlike np.putmask, no branch on the data
-    np.maximum(e, np.sign(z, out=num), out=num)
-    np.divide(num, np.add(e, _ONE, out=e), out=e)
+    # unlike np.putmask, no branch on the data.  np.maximum alone takes its
+    # output by keyword: numpy deprecates a third positional argument there
+    np.maximum(e, np.sign(z, num), out=num)
+    np.divide(num, np.add(e, _ONE, e), e)
     return e if out is not None else _out(e)
 
 

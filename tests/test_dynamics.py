@@ -274,6 +274,57 @@ class TestMarginOperand:
                 _assert_same_bits(work.margins, W @ obj._A.T)
 
 
+def _step_by_matmul(obj, W, eta):
+    """The GD map with both products by np.matmul over the view obj._A.T:
+    the bits that the np.dot products of a 1-D state must keep."""
+    A = obj._A
+    P = obj.loss.d1(np.matmul(W, A.T))
+    return W - eta * np.matmul(P * obj._wts, A)
+
+
+# coordinates of the special 1-D states: signed zeros, infinities, NaN,
+# and magnitudes whose margins pass exp's range (|z| > 745) or squareplus's
+# switch at 2**28
+_SPECIAL_COORDS = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e3, -1e3, 2.0**30, 5e-324]
+
+
+class TestOneStateBits:
+    """A 1-D state is stepped by np.dot, batches and stacks by np.matmul;
+    every step keeps the bits of the np.matmul form.  That np.dot and
+    np.matmul round a one-row product alike is OpenBLAS's behaviour, not
+    numpy's promise, so this guards it."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")      # inf and NaN states
+    @pytest.mark.parametrize("loss", ["logistic", "squareplus"])
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_matches_the_matmul_form(self, d, loss):
+        for G in (1, 2, 3, 5, 6, 13, 30, 64):
+            rng = np.random.default_rng(100 * d + G)
+            X = rng.normal(size=(G, d))
+            X[1:][rng.random((G - 1, d)) < 0.2] = rng.choice([0.0, -0.0])
+            obj = g.Objective(g.Dataset(X, rng.choice([-1, 1], G), rng.integers(1, 6, G)),
+                              g.get_loss(loss))
+            work = g.StepWork(obj, 64)
+            scales = 10.0 ** rng.uniform(-2.0, 4.0, (40, 1))
+            states = np.vstack([rng.choice(_SPECIAL_COORDS, (24, d)),
+                                rng.normal(size=(40, d)) * scales])
+            states[24:][rng.random((40, d)) < 0.2] = -0.0
+            assert np.abs(states[24:] @ obj._A.T).max() > 745.0
+            for w in states:
+                eta = rng.uniform(0.1, 100.0)
+                want = _step_by_matmul(obj, w, eta)
+                # a float, as gd_step passes it, and a (d,) array, as run does
+                for step_eta in (eta, np.full(d, eta)):
+                    _assert_same_bits(g.step_many(obj, w, step_eta, work=work), want)
+                    _assert_same_bits(g.step_many(obj, w, step_eta), want)
+            # batches and stacks, specials included, keep np.matmul
+            etas = rng.uniform(0.1, 100.0, (4, 1, 1))
+            for W, eta in ((states, 3.5), (states[:1], 3.5), (states[:2], etas[0]),
+                           (states.reshape(4, 16, d), etas), (states[:4].reshape(4, 1, d), etas)):
+                _assert_same_bits(g.step_many(obj, W, eta, work=work),
+                                  _step_by_matmul(obj, W, eta))
+
+
 class TestRun:
     def test_converges_below_two_over_L(self):
         rng = np.random.default_rng(2)
@@ -388,24 +439,28 @@ class TestRun:
         assert traj.times[-1] == 397
 
 
+def _mask_times(T, record_every, tail_window):
+    """The times a run to T records, by the mask over 0..T: every
+    record_every-th t, and every t of the last tail_window."""
+    t = np.arange(T + 1)
+    return t[(t % record_every == 0) | (t >= max(0, T - tail_window + 1))]
+
+
 def _run_by_stepping(obj, cfg):
     """(times, iterates, losses, diverged) of ``run`` as it was before it
     copied periodic orbits: the loop steps every iteration to the horizon."""
     T = cfg.max_iters
-    dense_from_t = max(0, T - cfg.tail_window + 1)
-    t_all = np.arange(T + 1)
-    rec_mask = (t_all % cfg.record_every == 0) | (t_all >= dense_from_t)
-    rec_times = t_all[rec_mask]
+    rec_times = _mask_times(T, cfg.record_every, cfg.tail_window)
     A, At, wts, d1 = obj._A, obj._A.T, obj._wts, obj.loss.d1
     w = cfg.w0.astype(float).copy()
     iterates = np.empty((len(rec_times), obj.dim))
     margins = np.empty((len(rec_times), len(A)))
-    rec = rec_mask.tolist()
+    rec = set(rec_times.tolist())
     n = 0
     diverged = False
     for t in range(T):
         z = A @ w
-        if rec[t]:
+        if t in rec:
             iterates[n] = w
             margins[n] = z
             n += 1
@@ -431,6 +486,109 @@ def _assert_run_is_stepping(obj, cfg, stepping_obj=None):
     assert traj.losses.tobytes() == losses.tobytes()
     assert traj.diverged == diverged
     return traj
+
+
+class TestGDConfig:
+    """The iteration counts are integers >= 1: a count of 0 or below, a
+    float or a bool is refused.  A tail_window of 0 would leave the final
+    state unrecorded, and a float max_iters would fail inside range()."""
+
+    @pytest.mark.parametrize("field", ["max_iters", "record_every", "tail_window"])
+    @pytest.mark.parametrize("value", [0, -3, 2.5, 10.0, np.float64(4.0), True, False,
+                                       np.True_, "5", None], ids=repr)
+    def test_counts_must_be_integers_of_at_least_one(self, field, value):
+        kwargs = dict(w0=[1.0], max_iters=20, eta=1.0, record_every=7, tail_window=5)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
+            g.GDConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", ["max_iters", "record_every", "tail_window"])
+    @pytest.mark.parametrize("value", [np.int64(7), np.int32(7), np.uint8(7), 7], ids=repr)
+    def test_numpy_integers_are_counts(self, field, value):
+        kwargs = dict(w0=[1.0], max_iters=20, eta=1.0, record_every=3, tail_window=5)
+        kwargs[field] = value
+        cfg = g.GDConfig(**kwargs)
+        assert type(getattr(cfg, field)) is int and getattr(cfg, field) == 7
+        want = g.run(toy3_objective(), g.GDConfig(**{**kwargs, field: 7}))
+        traj = g.run(toy3_objective(), cfg)
+        np.testing.assert_array_equal(traj.times, want.times)
+        assert traj.iterates.tobytes() == want.iterates.tobytes()
+
+
+def _run_kind(kind):
+    """Objective, eta, w0 and horizons of a run that closes (toy3's fixed
+    point, found at t = 64), stays open (chaotic_1d) or diverges (w_398
+    passes the guard); each horizon set brackets the event."""
+    if kind == "closed":
+        obj = toy3_objective()
+        return obj, 0.3 * g.minimize(obj).eta_two_lambda, [5.0], (1, 2, 7, 63, 64, 65, 300)
+    if kind == "open":
+        return (*_recipe("chaotic_1d", "logistic"), (1, 2, 7, 300))
+    obj = g.Objective(g.parse_compact("3 1 -9 -6\n1 1 -7 -4\n4 1 6 4\n"), g.logistic())
+    return obj, 1e11, [0.0, 0.0], (7, 397, 398, 500)
+
+
+class TestRunRecording:
+    """run records the times of the mask formula and steps through
+    dynamics.step_many once per step taken."""
+
+    @pytest.mark.parametrize("kind", ["closed", "open", "diverging"])
+    def test_record_times_follow_the_mask(self, kind):
+        obj, eta, w0, horizons = _run_kind(kind)
+        for T in horizons:
+            # tail windows past T + 1, at T + 1 and T, and of one state;
+            # record_every past T
+            for record_every, tail_window in itertools.product(
+                    (1, 3, 7, T + 1), (1, 5, T, T + 1, T + 2, g.dynamics.DEFAULT_TAIL_WINDOW)):
+                cfg = g.GDConfig(w0=w0, max_iters=T, eta=eta, record_every=record_every,
+                                 tail_window=tail_window)
+                traj = _assert_run_is_stepping(obj, cfg)
+                want = _mask_times(T, record_every, tail_window)
+                assert traj.diverged == (kind == "diverging" and T >= 398)
+                if traj.diverged:
+                    want = want[want <= 397]
+                np.testing.assert_array_equal(traj.times, want)
+                assert traj.times.dtype == np.int64
+                if kind == "closed":
+                    assert traj.closed_at == (64 if T >= 64 else None)
+
+    @pytest.mark.parametrize("kind, T, steps", [
+        ("closed", 10, 10), ("closed", 64, 64), ("closed", 3000, 65),
+        ("open", 3000, 3000), ("diverging", 300, 300), ("diverging", 5000, 398)])
+    def test_one_step_many_call_per_step(self, kind, T, steps, monkeypatch):
+        obj, eta, w0, _ = _run_kind(kind)
+        calls = itertools.count()
+        step_many = g.dynamics.step_many
+
+        def counted(*args, **kwargs):
+            next(calls)
+            return step_many(*args, **kwargs)
+
+        monkeypatch.setattr(g.dynamics, "step_many", counted)
+        traj = g.run(obj, g.GDConfig(w0=w0, max_iters=T, eta=eta))
+        # a closed run steps one period past closed_at; a diverging one
+        # stops at the step that passes the guard
+        if traj.closed_at is not None:
+            taken = min(T, traj.closed_at + traj.closed_period)
+        else:
+            taken = int(traj.times[-1]) + traj.diverged
+        assert next(calls) == taken == steps
+
+    def test_memory_does_not_grow_with_the_horizon(self):
+        # chaotic_1d never closes, so all 60,000 steps run; the recorded
+        # rows are 124.  A (T + 1)-element mask of record times, its arange
+        # and its list would take about 1 MB
+        obj, eta, w0 = _recipe("chaotic_1d", "logistic")
+        cfg = g.GDConfig(w0=w0, max_iters=60_000, eta=eta, record_every=1000, tail_window=64)
+        g.run(obj, cfg)
+        tracemalloc.start()
+        try:
+            traj = g.run(obj, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.closed_at is None and len(traj.times) == 124
+        assert peak < 64 * 1024, peak
 
 
 @functools.cache

@@ -143,15 +143,27 @@ class TestD1Out:
 
     def test_sigmoid_is_the_formula_from_the_small_side(self):
         # the numerator as max(e, sign(z)) gives the bits of picking it
-        # with np.where, NaN and the signed zeros included
+        # with np.where, and -|z| as copysign(z, -1), on a few margins,
+        # those of negating np.abs: NaN payloads and signed zeros included
         rng = np.random.default_rng(0)
+        bits = rng.integers(0, 2**64, 10**5, dtype=np.uint64)
+        nans = (bits & np.uint64(0x800FFFFFFFFFFFFF)) | np.uint64(0x7FF0000000000001)
         z = np.concatenate([_EDGE_MARGINS, rng.normal(0.0, 40.0, 10**5),
-                            rng.choice([-1.0, 1.0], 10**5) * 10.0 ** rng.uniform(-320, 308, 10**5)])
-        e = np.exp(-np.abs(z))
-        want = np.where(z >= 0.0, 1.0, e) / (1.0 + e)
-        assert g.losses.sigmoid(z).tobytes() == want.tobytes()
-        out = np.empty_like(z)
-        assert g.losses.sigmoid(z, out=out).tobytes() == want.tobytes()
+                            rng.choice([-1.0, 1.0], 10**5) * 10.0 ** rng.uniform(-320, 308, 10**5),
+                            bits.view(np.float64), nans.view(np.float64)])
+        rng.shuffle(z)
+        with np.errstate(invalid="ignore", over="ignore"):
+            e = np.exp(-np.abs(z))
+            want = np.where(z >= 0.0, 1.0, e) / (1.0 + e)
+            assert g.losses.sigmoid(z).tobytes() == want.tobytes()
+            out = np.empty_like(z)
+            assert g.losses.sigmoid(z, out=out).tobytes() == want.tobytes()
+            # both sides of the copysign cut, through out and scratch
+            cut = g.losses._COPYSIGN_MAX
+            for n in (1, 3, 6, cut, cut + 1, 4096):
+                for lo in range(0, len(z) - n, 40 * n + 997):
+                    got = g.losses.sigmoid(z[lo:lo + n], out=np.empty(n), scratch=np.empty(n))
+                    assert got.tobytes() == want[lo:lo + n].tobytes(), (n, lo)
 
 
 class TestDerivativeConsistency:

@@ -94,21 +94,32 @@ def _takes_a_transpose(fn) -> list:
                  or isinstance(node.value, ast.Name) and node.value.id in bound)]
 
 
+def _output(call: ast.Call):
+    """The source of the array a call writes into: its third positional
+    argument (as ``step_many`` passes outputs) or its ``out`` keyword."""
+    if len(call.args) >= 3:
+        return ast.unparse(call.args[2])
+    return next((ast.unparse(kw.value) for kw in call.keywords if kw.arg == "out"), None)
+
+
 def test_step_products_read_the_workspace_operand():
     # StepWork picks Aᵀ's layout by the product's shape: a C-contiguous copy
     # for two rows or more (three to four times faster in OpenBLAS, same
-    # bits), the view for one row (where the copy rounds differently).  A
-    # margin product that builds its own Aᵀ would bring back the slow
-    # operand or the one that moves bits.
+    # bits), the view for one row (where the copy rounds differently).  It
+    # also picks the product: np.dot for a 1-D state, np.matmul otherwise.
+    # A margin product that builds its own Aᵀ, or calls a product of its
+    # own, would bring back the slow operand or the one that moves bits.
     tree = ast.parse((SRC / "dynamics.py").read_text())
     defs = {node.name: node for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     margins = [node for node in ast.walk(defs["step_many"])
-               if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.matmul"
-               and any(kw.arg == "out" and ast.unparse(kw.value) == "work.margins"
-                       for kw in node.keywords)]
+               if isinstance(node, ast.Call) and _output(node) == "work.margins"]
     assert len(margins) == 1, "step_many has no one margin product into work.margins"
+    assert ast.unparse(margins[0].func) == "work.product", ast.unparse(margins[0])
     assert ast.unparse(margins[0].args[1]) == "work.At", ast.unparse(margins[0])
+    picks = {ast.unparse(node.targets[0]) for node in ast.walk(defs["StepWork"])
+             if isinstance(node, ast.Assign) and len(node.targets) == 1}
+    assert {"self.At", "self.product"} <= picks, "StepWork no longer picks the product"
     assert _takes_a_transpose(defs["StepWork"]), "StepWork no longer builds Aᵀ"
     # the Lyapunov estimate's curvatures of recorded states are not a step
     allowed = {"StepWork", "_lyapunov_from_states"}
