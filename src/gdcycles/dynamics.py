@@ -16,7 +16,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .losses import sigmoid
+from .losses import sigmoid, weighted_sigmoid
 from .objective import Objective, Solution, diverged
 
 __all__ = [
@@ -151,7 +151,15 @@ class StepWork:
     ``product``, the function of the margin and gradient products, is
     ``np.dot`` for a 1-D state and ``np.matmul`` otherwise.  On a 1-D state
     both give the same bits, and ``np.dot`` takes about a third less time
-    per product.
+    per product.  The one exception is a zero margin at d = 1, where each
+    margin is one product: np.dot keeps the sign of a product that rounds
+    to zero, and np.matmul adds it to +0.0.  Both shipped loss derivatives
+    give -0.0 the bits of +0.0, so the step keeps its bits.
+
+    ``one_state_wts``, the group weights as a list of Python floats, is set
+    when ``obj``'s loss derivative is ``losses.sigmoid`` (None otherwise):
+    it selects ``step_many``'s one-state branch and feeds its Python-float
+    arithmetic.
     """
 
     def __init__(self, obj: Objective, rows: int):
@@ -166,11 +174,14 @@ class StepWork:
                       np.empty((rows, G)), np.empty((rows, d)))
         self._bufs[3][:] = obj._wts
         self.shape = None                  # the batch shape of the views below
+        # a list, not a closure over self: a workspace is freed by reference
+        # counting alone, without waiting for the cycle collector
+        self.one_state_wts = obj._wts.tolist() if obj.loss.d1 is sigmoid else None
 
     def _fit(self, shape: tuple):
         """Cut the views for a batch of states of shape ``shape`` (W's shape
         without its last axis)."""
-        n = math.prod(shape)
+        n = int(np.prod(shape, dtype=np.intp))
         if n > len(self._bufs[0]):
             raise ValueError(f"a batch of {n} states exceeds the workspace's "
                              f"{len(self._bufs[0])}")
@@ -192,12 +203,32 @@ def step_many(obj: Objective, W: np.ndarray, eta: Union[float, np.ndarray], *,
     Every intermediate is written into ``work``, a StepWork of ``obj`` with
     room for W's states, built afresh when not given; the new states go
     into ``out`` (which may be W itself) when given, else into a new array.
-    With both, a step allocates nothing."""
-    shape = W.shape[:-1]
+    With both, a step allocates no array.
+
+    A 1-D W under the logistic loss (``obj.loss.d1`` is ``losses.sigmoid``,
+    by identity) takes a branch of four numpy calls: the two products, and
+    sigmoid's -|z| and exp in ``losses.weighted_sigmoid``.  The rest of the
+    step rounds once per operation, so it is done on Python floats with the
+    bits of the numpy form.  There ``eta`` is a real number (a float, a
+    numpy float or a 0-d array) or a (d,) array giving each coordinate its
+    own; a Python float is the fastest."""
     if work is None:
-        work = StepWork(obj, math.prod(shape))
+        work = StepWork(obj, W.size // W.shape[-1])
     elif work.obj is not obj:
         raise ValueError("the workspace was built for another objective")
+    if W.ndim == 1 and work.one_state_wts is not None:
+        if work.shape != ():
+            work._fit(())
+        Z = work.product(W, work.At, work.margins)
+        grad = work.product(weighted_sigmoid(Z, work.one_state_wts, work.d1), obj._A, work.grad)
+        if out is None:
+            out = np.empty(W.shape)
+        etas = (np.broadcast_to(eta, W.shape).tolist() if type(eta) is not float
+                else [eta] * len(W))
+        for j, (wj, gj, ej) in enumerate(zip(W.tolist(), grad.tolist(), etas)):
+            out[j] = wj - ej * gj
+        return out
+    shape = W.shape[:-1]
     if work.shape != shape:
         work._fit(shape)
     # outputs are passed positionally: numpy parses keywords more slowly,
@@ -378,7 +409,6 @@ def run(obj: Objective, cfg: GDConfig) -> Trajectory:
         raise ValueError(f"w0 has shape {w.shape}, expected ({obj.dim},)")
     nxt = np.empty_like(w)                # step_many writes w_{t+1} here
     work = StepWork(obj, 1)
-    step_eta = np.full(obj.dim, eta)      # like the gradient: a float is converted on every call
 
     iterates = np.empty((len(rec_times), obj.dim))
     n = 0
@@ -388,7 +418,7 @@ def run(obj: Objective, cfg: GDConfig) -> Trajectory:
     ref, r, span = w.tobytes(), 0, 1      # Brent's reference w_r and its span
     closed_at = period = cycle = None     # cycle: the states from closed_at on
     for t in range(T):
-        step_many(obj, w, step_eta, work=work, out=nxt)
+        step_many(obj, w, eta, work=work, out=nxt)
         if t == rec_t:
             iterates[n] = w
             n += 1

@@ -2,9 +2,11 @@
 orbit stability estimates."""
 
 import functools
+import gc
 import itertools
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -282,6 +284,18 @@ def _step_by_matmul(obj, W, eta):
     return W - eta * np.matmul(P * obj._wts, A)
 
 
+def _assert_same_margins(work, W):
+    """The workspace holds the margins W @ Aᵀ bit for bit, but at d = 1 for
+    the sign of a zero: there each margin is one product, which np.dot
+    rounds to zero with its sign (5e-324 times a negative entry gives -0.0)
+    and np.matmul then adds to +0.0.  Adding +0.0 to both sides makes every
+    zero +0.0 and leaves all else as it is."""
+    got, want = work.margins, W @ work.obj._A.T
+    if work.obj.dim == 1:
+        got, want = got + 0.0, want + 0.0
+    _assert_same_bits(got, want)
+
+
 # coordinates of the special 1-D states: signed zeros, infinities, NaN,
 # and magnitudes whose margins pass exp's range (|z| > 745) or squareplus's
 # switch at 2**28
@@ -313,16 +327,71 @@ class TestOneStateBits:
             for w in states:
                 eta = rng.uniform(0.1, 100.0)
                 want = _step_by_matmul(obj, w, eta)
-                # a float, as gd_step passes it, and a (d,) array, as run does
-                for step_eta in (eta, np.full(d, eta)):
+                # a float, as run and gd_step pass it, a numpy float and a
+                # 0-d array; the margins of the state stay in the workspace
+                for step_eta in (eta, np.float64(eta), np.array(eta)):
                     _assert_same_bits(g.step_many(obj, w, step_eta, work=work), want)
+                    _assert_same_margins(work, w)
                     _assert_same_bits(g.step_many(obj, w, step_eta), want)
+                # a (d,) array gives each coordinate its own step size
+                etas = rng.uniform(0.1, 100.0, d)
+                _assert_same_bits(g.step_many(obj, w, etas, work=work),
+                                  _step_by_matmul(obj, w, etas))
+                _assert_same_margins(work, w)
             # batches and stacks, specials included, keep np.matmul
             etas = rng.uniform(0.1, 100.0, (4, 1, 1))
             for W, eta in ((states, 3.5), (states[:1], 3.5), (states[:2], etas[0]),
                            (states.reshape(4, 16, d), etas), (states[:4].reshape(4, 1, d), etas)):
                 _assert_same_bits(g.step_many(obj, W, eta, work=work),
                                   _step_by_matmul(obj, W, eta))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")      # inf and NaN states
+    @pytest.mark.parametrize("loss", ["logistic", "squareplus"])
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_one_workspace_alternates_states_and_batches(self, d, loss):
+        # a 1-D state, an (n, d) batch and a 1-D state again through one
+        # StepWork: each step, and the margins it leaves, keep their bits
+        rng = np.random.default_rng(d)
+        obj = _random_objective(rng, 6, d)
+        obj = g.Objective(obj.ds, g.get_loss(loss))
+        work = g.StepWork(obj, 16)
+        states = np.vstack([rng.choice(_SPECIAL_COORDS, (8, d)), _random_states(rng, (24, d))])
+        for lo in range(0, len(states), 16):
+            for W in (states[lo], states[lo + 1:lo + 16], states[lo + 15]):
+                eta = rng.uniform(0.1, 100.0)
+                _assert_same_bits(g.step_many(obj, W, eta, work=work),
+                                  _step_by_matmul(obj, W, eta))
+                _assert_same_margins(work, W)
+
+    def test_branch_selected_by_the_derivative_itself(self):
+        # the logistic d1 is losses.sigmoid, by identity; squareplus, and a
+        # wrapped sigmoid (as the benchmark's tracer builds), step by numpy
+        obj = _random_objective(np.random.default_rng(3), 6, 2)
+        assert g.StepWork(obj, 1).one_state_wts == obj._wts.tolist()
+        wrapped = ScalarLoss("logistic", obj.loss.f,
+                             lambda z, out=None, scratch=None: obj.loss.d1(z, out, scratch),
+                             obj.loss.d2)
+        for loss in (g.squareplus(), wrapped):
+            assert g.StepWork(g.Objective(obj.ds, loss), 1).one_state_wts is None
+
+    def test_a_workspace_dies_with_its_last_reference(self):
+        # the branch's bound state holds no reference back to the workspace,
+        # so reference counting frees it without the cycle collector (a
+        # sweep builds one per stack and would otherwise hold them all)
+        obj = _random_objective(np.random.default_rng(4), 6, 2)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            work = g.StepWork(obj, 4)
+            g.step_many(obj, np.ones(2), 0.5, work=work)
+            g.step_many(obj, np.ones((4, 2)), 0.5, work=work)
+            g.step_many(obj, np.ones(2), 0.5, work=work)
+            ref = weakref.ref(work)
+            del work
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestRun:
@@ -641,6 +710,14 @@ class TestPeriodicFill:
                     tail_window=tail_window))
                 closed = (None, None) if c is None or T < c else (c, p)
                 assert (traj.closed_at, traj.closed_period) == closed
+
+    def test_chaotic_orbit_matches_stepping_to_the_benchmark_horizon(self):
+        # the orbit never closes, so every one of the 60,000 steps is taken,
+        # and a chaotic orbit amplifies any last-bit slip of a step
+        obj, eta, w0 = _recipe("chaotic_1d", "logistic")
+        traj = _assert_run_is_stepping(obj, g.GDConfig(w0=w0, max_iters=60_000, eta=eta,
+                                                       record_every=1))
+        assert traj.closed_at is None and len(traj.times) == 60_001
 
     def test_fixed_point_closes_with_period_one(self):
         obj = toy3_objective()

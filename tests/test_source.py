@@ -109,14 +109,17 @@ def test_step_products_read_the_workspace_operand():
     # also picks the product: np.dot for a 1-D state, np.matmul otherwise.
     # A margin product that builds its own Aᵀ, or calls a product of its
     # own, would bring back the slow operand or the one that moves bits.
+    # step_many has one margin product on each of its paths, the logistic
+    # one-state branch and the numpy form; both must read the workspace's.
     tree = ast.parse((SRC / "dynamics.py").read_text())
     defs = {node.name: node for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     margins = [node for node in ast.walk(defs["step_many"])
                if isinstance(node, ast.Call) and _output(node) == "work.margins"]
-    assert len(margins) == 1, "step_many has no one margin product into work.margins"
-    assert ast.unparse(margins[0].func) == "work.product", ast.unparse(margins[0])
-    assert ast.unparse(margins[0].args[1]) == "work.At", ast.unparse(margins[0])
+    assert margins, "step_many has no margin product into work.margins"
+    for call in margins:
+        assert ast.unparse(call.func) == "work.product", ast.unparse(call)
+        assert ast.unparse(call.args[1]) == "work.At", ast.unparse(call)
     picks = {ast.unparse(node.targets[0]) for node in ast.walk(defs["StepWork"])
              if isinstance(node, ast.Assign) and len(node.targets) == 1}
     assert {"self.At", "self.product"} <= picks, "StepWork no longer picks the product"
@@ -129,6 +132,33 @@ def test_step_products_read_the_workspace_operand():
         if lines and name not in allowed:
             elsewhere.setdefault(name, []).extend(lines)
     assert not elsewhere, f"dynamics.py takes Aᵀ outside StepWork: {elsewhere}"
+
+
+def test_step_calls_no_python_float_reductions_or_math():
+    # the one-state step does on Python floats only what rounds once per
+    # operation, as numpy does.  math.exp differs from np.exp on about 5% of
+    # margins, and a Python sum from np.dot's on about 40% of 2x2 products,
+    # so neither may enter the step, its workspace or the sigmoid's tail
+    trees = {name: ast.parse((SRC / name).read_text()) for name in ("dynamics.py", "losses.py")}
+    scopes = [("dynamics.py", "StepWork"), ("dynamics.py", "step_many"),
+              ("losses.py", "weighted_sigmoid")]
+    found = {}
+    for module, scope in scopes:
+        fn = next((node for node in trees[module].body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == scope),
+                  None)
+        assert fn is not None, f"{module} no longer defines {scope}"
+        calls = [ast.unparse(node.func) for node in ast.walk(fn) if isinstance(node, ast.Call)]
+        bad = [c for c in calls if c == "sum" or c.startswith("math.")]
+        if bad:
+            found[scope] = bad
+    assert not found, f"the one-state step calls {found}"
+    # nor does either module import a math function under a bare name
+    for module, tree in trees.items():
+        imported = [alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module == "math"
+                    for alias in node.names]
+        assert not imported, f"{module} imports {imported} from math"
 
 
 def _names(node, name) -> bool:
