@@ -48,9 +48,9 @@ from .analysis import (
     trajectory_to_csv,
 )
 from .construct import Recipe1D, eos_demo
-from .data import check_separable, parse_compact, parse_libsvm
+from .data import parse_compact, parse_libsvm
 from .dynamics import GDConfig, resolve_eta, run
-from .exceptions import GDCyclesError, SeparableDataError
+from .exceptions import GDCyclesError
 from .losses import LOSS_NAMES, get_loss
 from .objective import Objective, minimize
 
@@ -229,9 +229,6 @@ def _recipe_run(name: str, iters: int):
 
 def cmd_solve(args) -> int:
     obj = _objective(args)
-    verdict = check_separable(obj.ds)
-    if verdict.verdict == "separable":
-        raise SeparableDataError("dataset is separable; the minimizer is at infinity")
     sol = minimize(obj, tol=args.tol)
     record = sol.to_dict()
     for key, val in record.items():

@@ -24,7 +24,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .analysis import detect_cycle
-from .data import Dataset, check_separable
+from .data import Dataset
 from .dynamics import GDConfig, resolve_eta, run
 from .exceptions import ConvergenceError, SeparableDataError
 from .losses import ScalarLoss, logistic, sigmoid
@@ -178,9 +178,6 @@ class Recipe1D:
 
 
 def _verify_built(ds: Dataset, loss: ScalarLoss, gamma: float):
-    verdict = check_separable(ds)
-    if verdict.verdict == "separable":
-        raise SeparableDataError("constructed dataset is separable")
     obj = Objective(ds, loss)
     sol = minimize(obj)
     if not np.all(np.isfinite(sol.w_star)):

@@ -1,4 +1,4 @@
-"""Dataset representation, text parsers, and the separability checker.
+"""Dataset representation, text parsers, and the exact separability decision.
 
 Datasets store one row per distinct (feature vector, label) pair together
 with a multiplicity count.  The counterexample constructions use thousands of
@@ -78,9 +78,20 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SeparabilityVerdict:
-    verdict: str                       # "separable" | "non_separable" | "unknown"
-    witness: Optional[np.ndarray]      # w with min_i y_i w.x_i > 0 when separable
-    method: str
+    """Whether some w has every margin y_i w.x_i >= 0 and one of them > 0.
+
+    verdict  "separable": some w has every margin > 0;
+             "weakly_separable": none has, but some w has every margin >= 0
+             and one > 0;
+             "non_separable": every w with a positive margin has a negative
+             one.
+    witness  that w for the first two verdicts, rounded to float64 (exact
+             when its reduced integer form fits in 53 bits); None for the
+             third.
+    """
+
+    verdict: str
+    witness: Optional[np.ndarray]
 
 
 def _strip_comment(line: str) -> str:
@@ -126,10 +137,10 @@ def parse_libsvm(text, zero_as_negative: bool = False) -> Dataset:
                 val = float(val_s)
             except ValueError:
                 raise ParseError(f"bad feature token {tok!r}", line_no) from None
-            if idx <= prev:
-                raise ParseError(f"indices must be ascending, got {idx} after {prev}", line_no)
             if idx < 1:
                 raise ParseError(f"index {idx} is not 1-based", line_no)
+            if idx <= prev:
+                raise ParseError(f"indices must be ascending, got {idx} after {prev}", line_no)
             prev = idx
             feats[idx] = val
         max_idx = max(max_idx, prev)
@@ -154,7 +165,10 @@ def parse_libsvm(text, zero_as_negative: bool = False) -> Dataset:
     xs = np.array([groups[k][0] for k in order])
     ys = np.array([k[0] for k in order])
     counts = np.array([groups[k][1] for k in order])
-    return Dataset(xs, ys, counts)
+    try:
+        return Dataset(xs, ys, counts)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def parse_compact(text) -> Dataset:
@@ -213,79 +227,142 @@ def serialize_compact(ds: Dataset) -> str:
 # Separability
 # ---------------------------------------------------------------------------
 
-def _verdict_sep(w, method):
-    return SeparabilityVerdict("separable", np.asarray(w, dtype=float), method)
+def _integer_points(ds: Dataset) -> list:
+    """The signed points y_i x_i as rows of Python integers, all scaled by one
+    power of two.  Every float is a dyadic rational, so the scale is exact and
+    keeps every margin's sign and every null vector."""
+    ratios = [[v.as_integer_ratio() for v in row]
+              for row in (ds.ys[:, None] * ds.xs).tolist()]
+    den = max(q for row in ratios for _, q in row)
+    return [[p * (den // q) for p, q in row] for row in ratios]
 
 
-def _check_1d(pts: np.ndarray) -> SeparabilityVerdict:
-    if np.any(pts == 0.0):
-        return SeparabilityVerdict("non_separable", None, "1d-sign")
-    if np.all(pts > 0.0):
-        return _verdict_sep([1.0], "1d-sign")
-    if np.all(pts < 0.0):
-        return _verdict_sep([-1.0], "1d-sign")
-    return SeparabilityVerdict("non_separable", None, "1d-sign")
+def _pivot(T: list, D: int, r: int, c: int) -> int:
+    """Fraction-free (Bareiss) pivot on T[r][c].  T holds each tableau entry
+    times the basis determinant D > 0, so every row but r becomes
+    (p*row - row[c]*T[r]) / D, an exact integer division.  Returns the new
+    determinant |p|, negating the whole tableau when p < 0."""
+    pr = T[r]
+    p = pr[c]
+    for i, row in enumerate(T):
+        if i != r:
+            f = row[c]
+            T[i] = [(p * a - f * b) // D for a, b in zip(row, pr)]
+    if p < 0:
+        T[:] = [[-a for a in row] for row in T]
+    return abs(p)
 
 
-def _check_2d(pts: np.ndarray) -> SeparabilityVerdict:
-    # Signed points y_i x_i are strictly separable iff they all fit in an open
-    # half-plane, i.e. the largest angular gap between them exceeds pi.  The
-    # witness is the direction opposite the gap's midpoint, re-checked for a
-    # strictly positive margin.
-    if np.any(np.all(pts == 0.0, axis=1)):
-        return SeparabilityVerdict("non_separable", None, "2d-angular")
-    angles = np.sort(np.arctan2(pts[:, 1], pts[:, 0]))
-    gaps = np.diff(angles)
-    wrap = angles[0] + 2.0 * math.pi - angles[-1]
-    all_gaps = np.append(gaps, wrap)
-    k = int(np.argmax(all_gaps))
-    if all_gaps[k] <= math.pi:
-        return SeparabilityVerdict("non_separable", None, "2d-angular")
-    gap_mid = angles[k] + all_gaps[k] / 2.0
-    w = np.array([math.cos(gap_mid + math.pi), math.sin(gap_mid + math.pi)])
-    if np.min(pts @ w) > 0.0:
-        return _verdict_sep(w, "2d-angular")
-    return SeparabilityVerdict("non_separable", None, "2d-angular")
+def _bland(T: list, D: int, basis: list, ncols: int) -> int:
+    """Maximize the objective row T[-1] by the simplex method under Bland's
+    rule: the lowest of the first ``ncols`` columns with a positive reduced
+    cost enters, and of the rows tied in the ratio test, the one with the
+    lowest basic variable leaves.  The feasible set is bounded, so some row
+    always has a positive entry in the entering column."""
+    while True:
+        c = next((j for j in range(ncols) if T[-1][j] > 0), None)
+        if c is None:
+            return D
+        r = None
+        for i in range(len(basis)):
+            a = T[i][c]
+            if a > 0 and (r is None or
+                          (T[i][-1] * T[r][c], basis[i]) < (T[r][-1] * a, basis[r])):
+                r = i
+        D = _pivot(T, D, r, c)
+        basis[r] = c
 
 
-def _check_antipodal(pts: np.ndarray) -> Optional[SeparabilityVerdict]:
-    # p_i == -p_j gives w.p_i == -(w.p_j) for every w (a zero row is its own
-    # antipode); adding 0.0 maps -0.0 to 0.0, so bytes compare as floats do
-    rows = {p.tobytes() for p in pts + 0.0}
-    if any(p.tobytes() in rows for p in 0.0 - pts):
-        return SeparabilityVerdict("non_separable", None, "antipodal")
-    return None
+def _solve_lp(P: list):
+    """max t subject to P^T lam = 0, sum(lam) = 1 and lam >= t, over the
+    integer signed points P (G rows of d), written with lam = mu + t and
+    mu, t >= 0; columns mu_1 .. mu_G, t, then one artificial per row.
 
-
-def _check_perceptron(pts: np.ndarray, cap: int) -> SeparabilityVerdict:
-    w = np.zeros(pts.shape[1])
-    updates = 0
-    while updates < cap:
-        margins = pts @ w
-        bad = np.nonzero(margins <= 0.0)[0]
-        if bad.size == 0:
-            return _verdict_sep(w, "perceptron")
-        w = w + pts[bad[0]]
-        updates += 1
-    return SeparabilityVerdict("unknown", None, "perceptron")
-
-
-def check_separable(ds: Dataset, perceptron_cap: int = 10**6) -> SeparabilityVerdict:
-    """Decide strict linear separability (through the origin).
-
-    d=1 and d=2 are exact.  d>=3 answers non-separable on an exact antipodal
-    pair of signed points, else runs a perceptron up to ``perceptron_cap``
-    updates and reports "unknown" at the cap rather than guessing: a wrong
-    non-separable verdict would fabricate a finite minimizer downstream.
+    Phase I looks for any lam >= 0.  If there is none, its dual gives w with
+    P w > 0 (Gordan).  Otherwise t* >= 0, and phase II raises t: at t* > 0,
+    lam > 0 (Stiemke); at t* = 0 its dual gives w with P w >= 0 and
+    sum(P w) >= 1.  Returns (verdict, w, lam): integer vectors, each a
+    positive multiple of its certificate, or None where the verdict has none.
     """
-    pts = ds.ys[:, None] * ds.xs
-    if ds.dim == 1:
-        out = _check_1d(pts[:, 0])
-    elif ds.dim == 2:
-        out = _check_2d(pts)
-    else:
-        out = _check_antipodal(pts) or _check_perceptron(pts, perceptron_cap)
-    if out.verdict == "separable" and not float(np.min(pts @ out.witness)) > 0.0:
-        # contract: the witness must survive an exact re-check
-        raise AssertionError(f"separating witness {out.witness} fails the exact re-check")
-    return out
+    G, d = len(P), len(P[0])
+    n, m = G + 1, d + 1          # real columns; rows: one per feature, then sum(lam)
+    # the sum row reads s*sum(lam) = s, s the largest |entry|, which keeps
+    # phase I's w in scale with the points: with s = 1 its exact margins
+    # spanned up to 18 decades, and on 163 of 275 random separable draws
+    # (d = 2-5) the float witness had a margin <= 0; with s, on none
+    s = max(abs(a) for p in P for a in p)
+    T = []
+    for k in range(m):
+        row = [p[k] for p in P] if k < d else [s] * G
+        T.append(row + [sum(row)] + [int(i == k) for i in range(m)] + [s * (k == d)])
+    basis = list(range(n, n + m))
+    # phase I: maximize -sum(artificials), priced out against their basis
+    T.append([sum(col) for col in zip(*T)])
+    T[-1][n:n + m] = [0] * m
+    D = _bland(T, 1, basis, n)
+    if T[-1][-1] > 0:            # sum(artificials) > 0 at the optimum
+        return "separable", [-D - T[-1][n + k] for k in range(d)], None
+    for i in range(m):           # pivot out the artificials left basic at level 0
+        if basis[i] >= n:
+            c = next((j for j in range(n) if T[i][j]), None)
+            if c is not None:    # else the row is redundant and stays zero
+                D = _pivot(T, D, i, c)
+                basis[i] = c
+    # phase II: maximize t, priced out against the current basis
+    T[-1] = [0] * (n + m + 1)
+    T[-1][G] = D
+    if G in basis:
+        T[-1] = [a - b for a, b in zip(T[-1], T[basis.index(G)])]
+    D = _bland(T, D, basis, n)
+    x = [0] * n
+    for i, b in enumerate(basis):
+        if b < n:
+            x[b] = T[i][-1]
+    lam = [v + x[G] for v in x[:G]]
+    if x[G] > 0:
+        return "non_separable", None, lam
+    return "weakly_separable", [-T[-1][n + k] for k in range(d)], lam
+
+
+def _balances(P: list, lam: list) -> bool:
+    """Whether P^T lam = 0."""
+    return all(sum(l * p[k] for l, p in zip(lam, P)) == 0 for k in range(len(P[0])))
+
+
+def _certified(P: list, verdict: str, w, lam) -> bool:
+    """Check a verdict's certificate in exact integer arithmetic: P w > 0 for
+    "separable"; P w >= 0 with sum(P w) > 0, and lam >= 0, lam != 0 with
+    P^T lam = 0, for "weakly_separable"; lam > 0 with P^T lam = 0 for
+    "non_separable"."""
+    if verdict == "non_separable":
+        return min(lam) > 0 and _balances(P, lam)
+    margins = [sum(a * b for a, b in zip(p, w)) for p in P]
+    if verdict == "separable":
+        return min(margins) > 0
+    return (min(margins) >= 0 and sum(margins) > 0
+            and min(lam) >= 0 and sum(lam) > 0 and _balances(P, lam))
+
+
+def check_separable(ds: Dataset) -> SeparabilityVerdict:
+    """Decide exactly whether the data admit a finite minimizer.
+
+    A convex loss that decreases strictly to 0 at +infinity (logistic,
+    squareplus) has a finite minimizer iff every w with a positive margin
+    y_i w.x_i also has a negative one, that is iff the verdict is
+    "non_separable"; it is unique when the points also span R^d.  One exact
+    LP over the signed points, scaled to integers and solved by a
+    fraction-free simplex, tells the three verdicts apart at every d; each
+    certificate is checked in integer arithmetic before the verdict is
+    returned, and a failed check raises.
+    """
+    P = _integer_points(ds)
+    verdict, w, lam = _solve_lp(P)
+    if not _certified(P, verdict, w, lam):
+        # contract: a verdict stands only on a certificate checked exactly
+        raise AssertionError(f"{verdict} witness fails the exact check")
+    if w is None:
+        return SeparabilityVerdict(verdict, None)
+    g = math.gcd(*w)
+    w = [a // g for a in w]
+    scale = 1 << max(0, max(map(abs, w)).bit_length() - 53)
+    return SeparabilityVerdict(verdict, np.array([a / scale for a in w]))

@@ -16,8 +16,8 @@ class ParseError(GDCyclesError):
 
 
 class SeparableDataError(GDCyclesError):
-    """Raised when an operation requires non-separable data but the data
-    appears separable (minimizer at infinity)."""
+    """Raised when an operation requires non-separable data but the data are
+    separable or weakly separable (no finite minimizer)."""
 
 
 class DegenerateDataError(GDCyclesError):

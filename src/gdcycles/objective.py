@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, check_separable
 from .exceptions import (
     ConvergenceError,
     DegenerateDataError,
@@ -212,15 +212,23 @@ def _min_eigenvalue_ratio(m: np.ndarray) -> float:
 def minimize(obj: Objective, tol: float = 1e-12) -> Solution:
     """Find the unique finite minimizer of a non-separable objective.
 
-    Damped Newton from w = 0 at every d, until the gradient norm is below
-    ``tol``; ConvergenceError after NEWTON_MAX_STEPS steps.  Raises
-    SeparableDataError when iterates run away (the usual symptom of separable
-    data) and DegenerateDataError when the feature second moment is rank
-    deficient, in which case the minimizer is a whole subspace and
-    weight-space iteration is the wrong representation.
+    ``check_separable`` decides first, exactly, whether a finite minimizer
+    exists: SeparableDataError unless the verdict is "non_separable", since
+    on separable or weakly separable data the loss keeps falling along a
+    witness direction.  Then DegenerateDataError when the feature second
+    moment is rank deficient, in which case the minimizer is a whole
+    subspace and weight-space iteration is the wrong representation.  Damped
+    Newton then runs from w = 0 at every d, until the gradient norm is below
+    ``tol``; ConvergenceError after NEWTON_MAX_STEPS steps, and
+    SeparableDataError should the iterates still run away.
     """
     if not 0.0 < tol < np.inf:  # NaN fails both comparisons
         raise ValueError(f"tol must be positive and finite, got {tol}")
+    verdict = check_separable(obj.ds).verdict
+    if verdict != "non_separable":
+        raise SeparableDataError(
+            f"dataset is {verdict.replace('_', ' ')}; the minimizer is at infinity"
+        )
     d = obj.dim
     if _min_eigenvalue_ratio(obj.second_moment) < 1e-12:
         raise DegenerateDataError(

@@ -48,6 +48,32 @@ class TestSolve:
         assert code == 2
         assert "separable" in err
 
+    @pytest.mark.parametrize("text", [
+        "1 1 0\n1 1 1\n1 1 2\n",
+        "1 1 1 0\n1 1 -1 0\n1 1 0 1\n",
+        "1 1 1 0 0\n1 1 -1 0 0\n1 1 0 1 0\n1 1 0 0 1\n",
+    ], ids=["d1", "d2", "d3"])
+    def test_weakly_separable_exits_2_without_a_minimizer(self, capsys, tmp_path, text):
+        # some w has every margin >= 0 and one > 0, so the loss keeps falling
+        # along it, and any finite w that Newton stops at is not a minimizer
+        p = tmp_path / "weak.cds"
+        p.write_text(text)
+        code, out, err = run_cli(capsys, "solve", "--data", str(p))
+        assert code == 2
+        assert "weakly separable" in err
+        assert "w_star" not in out
+
+    def test_bad_feature_fails_alike_in_both_formats(self, capsys, tmp_path):
+        # a NaN feature passes both parsers' token checks and fails the
+        # Dataset's; both formats report it as a parse error
+        results = []
+        for name, text in (("nan.cds", "1 1 nan\n1 1 -1\n"), ("nan.svm", "+1 1:nan\n+1 1:-1\n")):
+            p = tmp_path / name
+            p.write_text(text)
+            code, out, err = run_cli(capsys, "solve", "--data", str(p))
+            results.append((code, out, err))
+        assert results[0] == results[1] == (2, "", "error: features must be finite\n")
+
     def test_missing_file_exits_1(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "solve", "--data", str(tmp_path / "none.cds"))
         assert code == 1

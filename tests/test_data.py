@@ -1,10 +1,26 @@
-"""Parsers, serialization round-trips, and the separability checker."""
+"""Parsers, serialization round-trips, and the exact separability decision."""
+
+from fractions import Fraction
+from importlib import resources
 
 import numpy as np
 import pytest
 
 import gdcycles as g
 from conftest import random_nonseparable
+
+# weakly separable sets at d = 1, 2, 3 (all labels +1): some w has every
+# margin >= 0 and one > 0, none has every margin > 0, so no finite minimizer
+WEAKLY_SEPARABLE = {
+    "d1-zero-feature": [[0.0], [1.0], [2.0]],
+    "d2-half-plane": [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]],
+    "d3-free-axis": [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+}
+
+
+def weakly_separable(name):
+    xs = np.array(WEAKLY_SEPARABLE[name])
+    return g.Dataset(xs, np.ones(len(xs), dtype=int), np.ones(len(xs), dtype=int))
 
 
 class TestParseLibsvm:
@@ -52,6 +68,18 @@ class TestParseLibsvm:
             g.parse_libsvm("+1 2:1.0 1:2.0\n")
         with pytest.raises(g.ParseError):
             g.parse_libsvm("+1 1:1.0 1:2.0\n")
+
+    @pytest.mark.parametrize("token", ["0:1.0", "-1:2"])
+    def test_index_below_one_rejected_as_not_1_based(self, token):
+        # the 1-based check comes first: an index below 1 also fails the
+        # ascending one, whose message ("got 0 after 0") would hide the cause
+        with pytest.raises(g.ParseError, match=f"index {token.split(':')[0]} is not 1-based"):
+            g.parse_libsvm(f"+1 {token}\n")
+
+    def test_dataset_rejection_is_a_parse_error(self):
+        # as parse_compact does, so both formats fail the same way
+        with pytest.raises(g.ParseError, match="features must be finite"):
+            g.parse_libsvm("+1 1:nan\n")
 
     def test_empty_input_rejected(self):
         with pytest.raises(g.ParseError):
@@ -152,9 +180,12 @@ class TestSeparability1D:
         ds = g.parse_compact("2 1 1\n1 1 -1\n")
         assert g.check_separable(ds).verdict == "non_separable"
 
-    def test_zero_feature_forces_nonseparable(self):
+    def test_zero_feature_is_weakly_separable(self):
+        # w = 1 gives margins (1, 0): not separable, and no finite minimizer
         ds = g.parse_compact("1 1 1\n1 1 0\n")
-        assert g.check_separable(ds).verdict == "non_separable"
+        v = g.check_separable(ds)
+        assert v.verdict == "weakly_separable"
+        np.testing.assert_array_equal(v.witness, [1.0])
 
 
 class TestSeparability2D:
@@ -210,37 +241,111 @@ class TestSeparabilityHighD:
         ds = g.Dataset(xs, ys, np.ones(20, dtype=int))
         v = g.check_separable(ds)
         assert v.verdict == "separable"
-        assert v.method == "perceptron"
+        assert np.min((ds.ys[:, None] * ds.xs) @ v.witness) > 0.0
 
-    def test_nonseparable_reports_unknown_at_cap(self):
-        # e1 + e2 + e3 + (-(e1 + e2 + e3)) = 0, so no w has all four margins
-        # positive, yet no two points are antipodes
+    def test_simplex_points_are_nonseparable(self):
+        # e1 + e2 + e3 + (-(e1 + e2 + e3)) = 0 with every weight positive, so
+        # every w has a negative margin, yet no two points are antipodes
         xs = np.vstack([np.eye(3), -np.ones((1, 3))])
         ds = g.Dataset(xs, np.ones(4, dtype=int), np.ones(4, dtype=int))
-        v = g.check_separable(ds, perceptron_cap=2000)
-        assert v.verdict == "unknown"
+        v = g.check_separable(ds)
+        assert v.verdict == "non_separable"
 
-    def test_antipodal_pair_is_nonseparable_without_perceptron(self):
-        # every row with both labels gives p and -p, a certificate that
-        # needs no perceptron update
+    def test_antipodal_pair_is_nonseparable(self):
+        # every row with both labels gives p and -p
         rng = np.random.default_rng(9)
         for d in (3, 4, 8):
-            v = g.check_separable(random_nonseparable(rng, d), perceptron_cap=0)
-            assert v.verdict == "non_separable" and v.method == "antipodal"
+            v = g.check_separable(random_nonseparable(rng, d))
+            assert v.verdict == "non_separable"
             assert v.witness is None
         # a zero coordinate matches its negation: -(0.0) is -0.0, a different
-        # bit pattern than the 0.0 in the other row; and a zero row is its
-        # own antipode, since its margin is 0 for every w
-        for xs in ([[1.0, 0.0, 2.0], [-1.0, 0.0, -2.0]], [[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]):
-            ds = g.Dataset(np.array(xs), np.ones(2, dtype=int), np.ones(2, dtype=int))
-            v = g.check_separable(ds, perceptron_cap=0)
-            assert v.verdict == "non_separable" and v.method == "antipodal"
+        # bit pattern than the 0.0 in the other row
+        ds = g.Dataset(np.array([[1.0, 0.0, 2.0], [-1.0, 0.0, -2.0]]),
+                       np.ones(2, dtype=int), np.ones(2, dtype=int))
+        assert g.check_separable(ds).verdict == "non_separable"
+        # a zero row has margin 0 for every w, and the other row's margin is
+        # positive for some w: weakly separable
+        ds = g.Dataset(np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]),
+                       np.ones(2, dtype=int), np.ones(2, dtype=int))
+        assert g.check_separable(ds).verdict == "weakly_separable"
 
     def test_failed_witness_recheck_raises(self, monkeypatch):
-        # the re-check is a raise, not an assert, so python -O keeps it
-        bogus = g.data.SeparabilityVerdict("separable", np.array([1.0, 0.0]), "2d-gap")
-        monkeypatch.setattr(g.data, "_check_2d", lambda pts: bogus)
+        # the re-check is a raise, not an assert, so python -O keeps it.  On
+        # the points (0, 1), (0, -1): w = (1, 0) has margins 0, 0, and
+        # lam = (1, 2) leaves P^T lam = (0, -1)
         ds = g.parse_compact("1 1 0 1\n1 -1 0 1\n")
-        with pytest.raises(AssertionError, match="witness"):
-            g.check_separable(ds)
+        for bogus in (("separable", [1, 0], None),
+                      ("weakly_separable", [1, 0], [1, 1]),
+                      ("non_separable", None, [1, 2])):
+            monkeypatch.setattr(g.data, "_solve_lp", lambda P, bogus=bogus: bogus)
+            with pytest.raises(AssertionError, match="witness"):
+                g.check_separable(ds)
+
+
+def assert_certificate(P, verdict, w, lam):
+    """The alternative theorems' certificates, checked in exact rational
+    arithmetic apart from the package: each proves its verdict on its own."""
+    P = [[Fraction(a) for a in p] for p in P]
+    if verdict != "non_separable":
+        margins = [sum(a * Fraction(b) for a, b in zip(p, w)) for p in P]
+        if verdict == "separable":
+            assert min(margins) > 0
+            return
+        assert min(margins) >= 0 and sum(margins) > 0
+    assert min(lam) >= (1 if verdict == "non_separable" else 0) and sum(lam) > 0
+    assert all(sum(l * p[k] for l, p in zip(lam, P)) == 0 for k in range(len(P[0])))
+
+
+class TestSeparabilityExact:
+    @pytest.mark.parametrize("name", sorted(WEAKLY_SEPARABLE))
+    def test_weakly_separable_sets(self, name):
+        ds = weakly_separable(name)
+        v = g.check_separable(ds)
+        assert v.verdict == "weakly_separable"
+        assert_certificate((ds.ys[:, None] * ds.xs).tolist(), v.verdict, v.witness.tolist(),
+                           g.data._solve_lp(g.data._integer_points(ds))[2])
+
+    def test_recipes_and_their_stacks_are_nonseparable(self):
+        # every shipped dataset has a finite minimizer, and so has every
+        # k-fold stack of a 1-D one: block j's certificate lives on block j
+        recipes = resources.files("gdcycles") / "recipes"
+        names = sorted(p.name for p in recipes.iterdir() if p.name.endswith(".cds"))
+        assert len(names) == 7
+        for name in names:
+            ds = g.parse_compact((recipes / name).read_text())
+            assert g.check_separable(ds).verdict == "non_separable", name
+            if ds.dim == 1:
+                for k in range(2, 9):
+                    stacked = g.kronecker_stack(ds, k)
+                    assert g.check_separable(stacked).verdict == "non_separable", (name, k)
+
+    def test_every_verdict_carries_an_exact_certificate(self):
+        # small integer points at d = 3-5, with zeros, duplicates, antipodes
+        # and a power-of-ten scale, so that all three verdicts come up
+        rng = np.random.default_rng(21)
+        seen = {"separable": 0, "weakly_separable": 0, "non_separable": 0}
+        for _ in range(300):
+            d = int(rng.integers(3, 6))
+            n = int(rng.integers(1, 9))
+            xs = rng.integers(-2, 3, size=(n, d)).astype(float)
+            if n > 1 and rng.random() < 0.4:
+                xs[rng.integers(n)] = -xs[rng.integers(n)]
+            if not xs.any():
+                continue
+            xs *= 10.0 ** int(rng.integers(-3, 4))
+            ys = rng.choice([-1, 1], size=n)
+            ds = g.Dataset(xs, ys, np.ones(n, dtype=int))
+            v = g.check_separable(ds)
+            seen[v.verdict] += 1
+            # the solver's integer certificate holds for the signed points
+            # themselves, and so does the float witness returned with it
+            P = (ys[:, None] * xs).tolist()
+            verdict, w, lam = g.data._solve_lp(g.data._integer_points(ds))
+            assert verdict == v.verdict
+            assert_certificate(P, verdict, w, lam)
+            if verdict == "non_separable":
+                assert v.witness is None
+            else:
+                assert_certificate(P, verdict, v.witness.tolist(), lam)
+        assert min(seen.values()) >= 30, seen
 

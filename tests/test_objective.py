@@ -346,14 +346,32 @@ class TestMinimize:
         with pytest.raises(g.DegenerateDataError):
             g.minimize(obj)
 
-    def test_separable_data_hits_divergence_guard(self):
+    def test_separable_data_hits_divergence_guard(self, monkeypatch):
         # squareplus tails decay polynomially, so Newton steps on separable
         # data grow geometrically; with a tolerance the gradient never meets,
-        # the iterate-norm guard is what stops the run
+        # the iterate-norm guard is what stops the run.  The certificate
+        # would stop it first, so it is patched to let the data through.
+        monkeypatch.setattr(g.objective, "check_separable",
+                            lambda ds: g.SeparabilityVerdict("non_separable", None))
         ds = g.parse_compact("3 1 1\n")
         obj = g.Objective(ds, g.squareplus())
-        with pytest.raises(g.SeparableDataError, match="separable"):
+        with pytest.raises(g.SeparableDataError, match="divergence"):
             g.minimize(obj, tol=1e-30)
+
+    @pytest.mark.parametrize("text, verdict", [
+        ("3 1 1\n", "separable"),
+        ("1 1 0\n1 1 1\n1 1 2\n", "weakly separable"),
+        ("1 1 1 0\n1 1 -1 0\n1 1 0 1\n", "weakly separable"),
+    ])
+    def test_no_finite_minimizer_raises_before_newton(self, text, verdict, monkeypatch):
+        # the exact verdict comes before the rank test (patched so that a
+        # call to it fails) and any Newton step: on the weakly separable sets
+        # Newton stops where the gradient underflows, at a finite w that is
+        # no minimizer (w = 26.82 at d = 1)
+        monkeypatch.setattr(g.objective, "_min_eigenvalue_ratio", None)
+        obj = g.Objective(g.parse_compact(text), g.logistic())
+        with pytest.raises(g.SeparableDataError, match=f"dataset is {verdict};"):
+            g.minimize(obj)
 
     @pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf])
     @pytest.mark.parametrize("regime", ["newton", "gd"])

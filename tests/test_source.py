@@ -202,3 +202,20 @@ def test_gamma_resolved_by_resolve_eta_alone(path):
         assert lines, "dynamics.py no longer resolves gamma / lambda_star"
     else:
         assert not lines, f"{path.name} divides by lambda_star on lines {lines}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_check_separable_called_by_minimize_alone(path):
+    # whether a finite minimizer exists is decided once, by minimize; a
+    # second caller is a second copy of that decision
+    tree = ast.parse(path.read_text(), filename=str(path))
+    calls = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and _names(node.func, "check_separable")]
+    if path.name == "objective.py":
+        fn = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "minimize")
+        inside = [node for node in ast.walk(fn) if node in calls]
+        assert calls and inside == calls, "minimize no longer owns the decision"
+    else:
+        lines = [node.lineno for node in calls]
+        assert not lines, f"{path.name} calls check_separable on lines {lines}"
