@@ -26,6 +26,7 @@ from .dynamics import (
     _lyapunov_from_states,
     _state_blocks,
     orbit_multiplier,
+    resolve_eta,
     step_many,
 )
 from .losses import sigmoid
@@ -203,6 +204,11 @@ def psd(losses: Sequence[float], window: int = 1024) -> PsdResult:
 
 @dataclass(frozen=True)
 class SweepCell:
+    """One (step size, initialization) cell of a bifurcation sweep.  Its
+    scaled sharpness at the final state w_T comes from one Hessian stack per
+    tail block, bit for bit eta * lambda_max(obj.hessian(w_T)) / 2; a
+    diverged cell has NaN there and no tail values."""
+
     eta: float
     init_index: int
     final_losses: np.ndarray          # distinct tail losses, ascending
@@ -423,21 +429,22 @@ def bifurcation_sweep(
                 tail_losses[c:c + chunk] = loss.f(S @ A.T) @ wts
                 if tail_pn is not None:
                     tail_pn[c:c + chunk] = sigmoid(S @ pn_row)
+            # the live cells' final states, one Hessian stack for the block
+            jj, ii = np.nonzero(~dead)
+            w_T = tail_states[(tail_steps - 1) % period[jj, ii], jj, ii] if closed else W[jj, ii]
+            sharp = np.full(alive.shape, np.nan)
+            sharp[jj, ii] = lambda_max(obj.hessian(w_T))
+            sharp = (etas[:, None] * sharp / 2.0).tolist()
             for j, eta in enumerate(etas.tolist()):
                 for i in range(n_inits):
                     if dead[j, i]:
                         cells.append(SweepCell(eta, i, np.array([]), float("nan"), True,
                                                np.array([]) if pn_row is not None else None))
                         continue
-                    if closed:
-                        p = int(period[j, i])
-                        w_T = tail_states[(tail_steps - 1) % p, j, i]
-                    else:
-                        p, w_T = steps, W[j, i]
+                    p = int(period[j, i]) if closed else steps
                     fl = _dedup(tail_losses[:p, j, i])
-                    sharp = eta * lambda_max(obj.hessian(w_T)) / 2.0
                     fp = _dedup(tail_pn[:p, j, i]) if tail_pn is not None else None
-                    cells.append(SweepCell(eta, i, fl, sharp, False, fp))
+                    cells.append(SweepCell(eta, i, fl, sharp[j][i], False, fp))
     return BifurcationSweep(eta_grid, tuple(cells), seed, tuple(scales), n_inits, row_steps)
 
 
@@ -554,7 +561,8 @@ def basin_raster(
     refs,
     T: int,
 ) -> BasinRaster:
-    """Label each grid-cell center by the attractor GD reaches from it.
+    """Label each grid-cell center by the attractor GD reaches from it at
+    the absolute step size ``eta`` (``resolve_eta`` checks it).
 
     ``refs`` is (w_star, orbit): a finite vector of shape (2,) and a
     nonempty finite (k, 2) array.  After T steps a cell is to_fixed_point
@@ -584,6 +592,7 @@ def basin_raster(
     """
     if obj.dim != 2:
         raise ValueError("basin rasterization is defined for d=2 only")
+    eta = resolve_eta(eta)
     (xmin, xmax, ymin, ymax), (nx, ny) = check_raster(bounds, resolution, T)
     w_star, orbit = refs
     w_star = np.asarray(w_star, dtype=float)
@@ -630,7 +639,7 @@ def basin_raster(
              "horizon": nx * ny - n_repeated - n_trapped}
     return BasinRaster(
         (xmin, xmax, ymin, ymax), (nx, ny), labels.reshape(ny, nx),
-        float(eta), w_star, orbit, row_steps, stops,
+        eta, w_star, orbit, row_steps, stops,
     )
 
 
@@ -641,26 +650,21 @@ def basin_raster(
 def sharpness_series(obj: Objective, traj: Trajectory, start: int = 0) -> np.ndarray:
     """lambda_max of the Hessian at each recorded iterate from ``start`` on.
 
-    In 1D this is the closed form L''(w), one vectorized pass over the rows.
-    In higher dimensions each row needs its own Hessian and ``lambda_max``
-    (a power iteration for d >= 3), so on a closed orbit the value is
-    computed once per phase present among the rows, at the first row of that
-    phase, and copied to every later row of the phase whose iterate has the
-    same bytes; any other row gets its own.  The result is the per-row one,
-    bit for bit.
+    The rows go through ``dynamics._state_blocks`` and each block's own
+    rows take one ``lambda_max(obj.hessian(...))`` call on their stack (a
+    power iteration per row for d >= 3).  So on a closed orbit the value is
+    computed once per phase present among the rows, at the first row of
+    that phase, and copied to every later row of the phase whose iterate
+    has the same bytes; any other row gets its own.  The result is the
+    per-row ``lambda_max(obj.hessian(w))``, bit for bit, at every d.
     """
     W = traj.iterates[start:]
-    if obj.dim == 1:
-        Z = W @ obj._A.T
-        d2 = obj.loss.d2(Z)
-        x2 = obj._A[:, 0] ** 2
-        return (d2 * obj._wts) @ x2
     out = np.empty(len(W))
     for lo, hi, src in _state_blocks(traj.times[start:], traj.closed_at, traj.closed_period,
                                      (W,)):
         rows = np.arange(lo, hi)
         own = rows if src is None else rows[src == rows]
-        out[own] = [lambda_max(obj.hessian(w)) for w in W[own]]
+        out[own] = lambda_max(obj.hessian(W[own]))
         if src is not None:
             out[rows] = out[src]
     return out

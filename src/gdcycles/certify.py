@@ -104,7 +104,17 @@ def _jacobians(obj: Objective, eta: float, orbit: np.ndarray, reach: np.ndarray)
     the ends of the margin's range, and below l''(0) if the range holds 0
     (l'' is unimodal about 0).  With those intervals [k_lo, k_hi] every
     Hessian over the ball lies in the Loewner interval H_mid -+ R, R =
-    sum_i c_i (k_hi - k_lo) / 2 a_i a_i^T: |H - H_mid| <= lambda_max(R)."""
+    sum_i c_i (k_hi - k_lo) / 2 a_i a_i^T: |H - H_mid| <= lambda_max(R).
+
+    Both sums come from ``Objective._curvature_sum``, whose matmul rounds
+    each term twice (the weighted row c_i w_i a_i, then its product with
+    a_i) and adds the G terms, and whose symmetrization averages two such
+    sums, one rounding more.  So with nonnegative weights w_i each entry of
+    a computed sum lies within about (G + 2)u sum_i c_i w_i |a_i|^2 of the
+    exact one, and the spectral norm of the error, at most its Frobenius
+    norm, within the same.  For R that sum is tr R, which (G + 64)u tr R
+    covers; for H_mid it is at most h_top = sum_i c_i k_hi |a_i|^2, which
+    2(G + 4)u h_top covers."""
     A, c = obj._A, obj._wts
     G, d = A.shape
     a = np.linalg.norm(A, axis=1)
@@ -117,9 +127,8 @@ def _jacobians(obj: Objective, eta: float, orbit: np.ndarray, reach: np.ndarray)
     k_lo = np.minimum(d_lo, d_hi) * (1.0 - _REL)
     k_hi = np.where((lo <= 0.0) & (hi >= 0.0), float(obj.loss.d2(0.0)),
                     np.maximum(d_lo, d_hi)) * (1.0 + _REL)
-    outer = A[:, :, None] * A[:, None, :]                   # (G, d, d)
-    H_mid = np.einsum("npg,gij->npij", c * (k_lo + k_hi) / 2.0, outer)
-    R = np.einsum("npg,gij->npij", c * (k_hi - k_lo) / 2.0, outer)
+    H_mid = obj._curvature_sum(c * (k_lo + k_hi) / 2.0)    # (n, p, d, d)
+    R = obj._curvature_sum(c * (k_hi - k_lo) / 2.0)
     # lambda_max(R) and the rounding of R's and H_mid's sums over the groups
     spread = np.linalg.eigvalsh(R)[..., -1] + (G + 64) * _U * np.trace(R, axis1=-2, axis2=-1)
     h_top = (c * k_hi) @ (a * a)                             # bounds |H| over the ball

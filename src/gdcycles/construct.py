@@ -121,11 +121,11 @@ def period2_points(eta: float) -> Tuple[float, float]:
 
     The points are p = (1+u)/2 and 1-p where u solves atanh(u) = (eta/8) u
     on (0, 1); the root is found by bisection since the inverse of
-    atanh(u)/u is not elementary.  Defined for eta >= 8 only; at eta = 8 the
-    two points coincide at 1/2.
+    atanh(u)/u is not elementary.  Defined for eta >= 8 only, ValueError
+    otherwise (NaN included); at eta = 8 the two points coincide at 1/2.
     """
-    if eta < 8.0:
-        raise ValueError("period-2 point undefined for eta < 8")
+    if not eta >= 8.0:  # NaN fails the comparison
+        raise ValueError(f"period-2 point undefined unless eta >= 8, got {eta}")
     if eta == 8.0:
         return (0.5, 0.5)
     c = eta / 8.0

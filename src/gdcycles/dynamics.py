@@ -620,39 +620,38 @@ def run_prob(obj: Objective, p0: np.ndarray, eta: float, iters: int) -> np.ndarr
 
 def orbit_multiplier(obj: Objective, orbit, eta: float) -> float:
     """Spectral radius of the product of GD-map Jacobians I - eta H(w) along
-    an orbit.  Below 1 the orbit is locally attracting; 1 is neutral."""
+    an orbit, a nonempty (k, d) array, at the absolute step size ``eta``
+    (``resolve_eta`` checks it).  Below 1 the orbit is locally attracting;
+    1 is neutral.  The Hessians come from one ``obj.hessian`` call on the
+    orbit and are multiplied in orbit order, by the same matrix product at
+    every d."""
+    eta = resolve_eta(eta)
     orbit = np.atleast_2d(np.asarray(orbit, dtype=float))
     if orbit.shape[0] == 0:
         raise ValueError("orbit must be nonempty")
-    if obj.dim == 1:
-        prod = 1.0
-        for w in orbit:
-            prod *= 1.0 - eta * float(obj.hessian(w)[0, 0])
-        return abs(prod)
     m = np.eye(obj.dim)
-    for w in orbit:
-        m = (np.eye(obj.dim) - eta * obj.hessian(w)) @ m
+    for jac in np.eye(obj.dim) - eta * obj.hessian(orbit):
+        m = jac @ m
     return float(np.max(np.abs(np.linalg.eigvals(m))))
 
 
 def _lyapunov_from_states(obj: Objective, states: np.ndarray, eta: float) -> float:
     """Mean log expansion rate of the GD map along consecutive states.
 
-    All curvatures come from one ``loss.d2`` call.  In 1D the rate is the
-    mean of log|1 - eta L''(w_t)|; in higher dimensions a unit tangent vector
-    is pushed through the Jacobians I - eta H(w_t) with renormalization
-    (Benettin et al., Meccanica 15, 1980), over Hessians built in one batch.
+    The Hessians are built in one batch, ``obj.hessian``'s stack without its
+    finiteness check (a state may be NaN here), each with the bits of that
+    state's own Hessian.  In 1D the rate is the mean of
+    log|1 - eta L''(w_t)|; in higher dimensions a unit tangent vector is
+    pushed through the Jacobians I - eta H(w_t) with renormalization
+    (Benettin et al., Meccanica 15, 1980).
     """
-    states = np.atleast_2d(states)
-    A = obj._A
-    G, d = A.shape
-    D = obj.loss.d2(states @ A.T) * obj._wts                 # weighted curvatures, (n, G)
-    H = D @ (A[:, :, None] * A[:, None, :]).reshape(G, d * d)  # Hessians, (n, d*d)
+    H = obj._hessians(np.atleast_2d(states))                 # (n, d, d)
+    d = obj.dim
     if d == 1:
-        return float(np.mean(np.log(np.maximum(np.abs(1.0 - eta * H[:, 0]), 1e-300))))
+        return float(np.mean(np.log(np.maximum(np.abs(1.0 - eta * H[:, 0, 0]), 1e-300))))
     v = np.ones(d) / np.sqrt(d)
     norms = np.empty(len(H))
-    for i, h in enumerate(H.reshape(-1, d, d)):
+    for i, h in enumerate(H):
         v = v - eta * (h @ v)
         s = math.sqrt(v @ v)
         if s == 0.0:
@@ -674,6 +673,8 @@ def lyapunov(obj: Objective, traj: Trajectory, eta: float, burn_in: int) -> floa
     """
     if traj.record_every != 1:
         raise ValueError("lyapunov needs a densely recorded trajectory (record_every=1)")
+    if burn_in < 0:
+        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
     if len(traj.iterates) < burn_in + 1000:
         raise ValueError("trajectory too short for the requested burn-in")
     return _lyapunov_from_states(obj, traj.iterates[burn_in:], eta)

@@ -32,6 +32,13 @@ DIVERGENCE_NORM = 1e12
 # Newton steps before minimize raises ConvergenceError
 NEWTON_MAX_STEPS = 500
 
+# lambda_max's power iteration at d >= 3: the relative change of the Rayleigh
+# quotient at which it stops, its cap on iterations, and the seed of its
+# random start
+POWER_TOL = 1e-12
+POWER_MAX_ITERS = 10**5
+POWER_SEED = 0
+
 # Up to this many coordinates, a Python loop over a 1-D state beats the two
 # ufunc calls (0.5 against 2.6 us at one, 1.3 against 2.7 us at 16, 1.7
 # against 1.6 us at 32, numpy 2.4 on a 2-core Xeon).
@@ -105,19 +112,37 @@ class Objective:
             raise FloatingPointError(f"non-finite gradient at w={w!r}")
         return g
 
+    def _curvature_sum(self, c: np.ndarray) -> np.ndarray:
+        """sum_i c_i a_i a_i^T over the rows a_i of A, for group weights c of
+        shape (G,) or (..., G): shape (d, d) or (..., d, d), symmetrized.
+
+        One ``np.matmul((A * c)^T, A)``, which multiplies each matrix of a
+        stack as it multiplies a lone one, so each matrix has the bits of
+        its own product.  The one place a weighted sum of outer products of
+        A's rows is formed: the Hessian, the second moment and the trap
+        balls' curvature bounds all read it."""
+        h = np.matmul(np.swapaxes(self._A * c[..., None], -1, -2), self._A)
+        return 0.5 * (h + np.swapaxes(h, -1, -2))
+
+    def _hessians(self, W: np.ndarray) -> np.ndarray:
+        """``hessian`` without its finiteness check, for a caller that reads
+        non-finite states on purpose."""
+        return self._curvature_sum(self._wts * self.loss.d2(self.margins(W)))
+
     def hessian(self, w) -> np.ndarray:
-        z = self.margins(w)
-        d = self._wts * self.loss.d2(z)
-        h = (self._A * d[:, None]).T @ self._A
+        """The Hessian sum_i (count_i/N) l''(a_i.w) a_i a_i^T of a state,
+        shape (d,), or of each state of a stack, shape (..., d): shape
+        (d, d) or (..., d, d), each matrix bit for bit the one its state
+        gives alone.  FloatingPointError if any entry is not finite."""
+        h = self._hessians(w)
         if not np.all(np.isfinite(h)):
             raise FloatingPointError(f"non-finite Hessian at w={w!r}")
-        return 0.5 * (h + h.T)
+        return h
 
     @cached_property
     def second_moment(self) -> np.ndarray:
         """sum_i (count_i/N) x_i x_i^T (signs cancel, so A works in place of X)."""
-        m = (self._A * self._wts[:, None]).T @ self._A
-        return 0.5 * (m + m.T)
+        return self._curvature_sum(self._wts)
 
     @cached_property
     def global_smoothness(self) -> float:
@@ -157,35 +182,46 @@ class Solution:
         }
 
 
-def lambda_max(m: np.ndarray, tol: float = 1e-12, max_iters: int = 10**5, seed: int = 0) -> float:
-    """Largest (algebraic) eigenvalue of a symmetric matrix.
+def lambda_max(m: np.ndarray):
+    """Largest (algebraic) eigenvalue of a symmetric matrix, shape (d, d),
+    as a float, or of each matrix of a stack, shape (..., d, d), as an
+    array of shape (...).
 
-    d=1 reads the scalar, d=2 uses the trace/discriminant closed form, and
-    d>=3 runs shifted power iteration with a fixed-seed random start until
-    the Rayleigh quotient is stable to ``tol`` relative.
+    d=1 reads the scalar and d=2 uses the trace/discriminant closed form,
+    elementwise over a stack with the bits of one matrix; d>=3 runs shifted
+    power iteration on each matrix with a random start drawn from
+    POWER_SEED, until the Rayleigh quotient is stable to POWER_TOL relative,
+    and raises PowerIterationError after POWER_MAX_ITERS iterations.
     """
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
-    d = m.shape[0]
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError("matrix must be square, or a stack of square matrices")
+    d = m.shape[-1]
     if d == 1:
-        return float(m[0, 0])
-    if d == 2:
-        mean = 0.5 * (m[0, 0] + m[1, 1])
-        rad = float(np.hypot(0.5 * (m[0, 0] - m[1, 1]), m[0, 1]))
-        return mean + rad
+        top = m[..., 0, 0]
+    elif d == 2:
+        mean = 0.5 * (m[..., 0, 0] + m[..., 1, 1])
+        top = mean + np.hypot(0.5 * (m[..., 0, 0] - m[..., 1, 1]), m[..., 0, 1])
+    else:
+        top = np.array([_power_iteration(b) for b in m.reshape(-1, d, d)])
+        top = top.reshape(m.shape[:-2])
+    return float(top) if m.ndim == 2 else top
 
+
+def _power_iteration(m: np.ndarray) -> float:
+    """lambda_max of one (d, d) symmetric matrix by shifted power iteration."""
+    d = m.shape[0]
     # Shift by an upper bound on the spectral radius so the algebraically
     # largest eigenvalue also dominates in magnitude.
     shift = float(np.abs(m).sum(axis=1).max())
     if shift == 0.0:
         return 0.0
     b = m + shift * np.eye(d)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(POWER_SEED)
     v = rng.standard_normal(d)
     v /= np.linalg.norm(v)
     lam = None
-    for _ in range(max_iters):
+    for _ in range(POWER_MAX_ITERS):
         u = b @ v
         nu = float(np.linalg.norm(u))
         if nu == 0.0:
@@ -195,7 +231,7 @@ def lambda_max(m: np.ndarray, tol: float = 1e-12, max_iters: int = 10**5, seed: 
             continue
         lam_new = float(v @ u)
         v = u / nu
-        if lam is not None and abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
+        if lam is not None and abs(lam_new - lam) <= POWER_TOL * max(1.0, abs(lam_new)):
             return lam_new - shift
         lam = lam_new
     raise PowerIterationError("power iteration hit its cap", (lam or 0.0) - shift)

@@ -854,6 +854,15 @@ class TestBasinRaster:
         with pytest.raises(ValueError, match="w_star|orbit"):
             g.basin_raster(obj, 1.0, (-1, 1, -1, 1), (4, 4), (w_star, orbit), T=10)
 
+    @pytest.mark.parametrize("eta", [np.nan, 0.0, -1.0])
+    def test_step_size_checked(self, eta):
+        # unchecked, each of these labelled every cell "other"
+        obj = g.Objective(g.parse_compact("2 1 1 0\n1 1 -1 0\n1 1 0 1\n1 1 0 -1\n"),
+                          g.logistic())
+        with pytest.raises(ValueError, match="step size"):
+            g.basin_raster(obj, eta, (-1, 1, -1, 1), (8, 8),
+                           (np.zeros(2), np.ones((1, 2))), T=10)
+
     def test_row_steps_counts_retired_cells(self, basin_cycle):
         # a cell stepped to T in full costs T row-steps; cells that reach w*
         # retire early, so the raster takes fewer than nx * ny * T
@@ -1084,7 +1093,7 @@ class TestCsvEmission:
 # ---------------------------------------------------------------------------
 
 def _sharpness_by_row(obj, traj, start=0):
-    """sharpness_series in d >= 2 as first written: one lambda_max per row."""
+    """sharpness_series as first written in d >= 2: one lambda_max per row."""
     return np.array([lambda_max(obj.hessian(w)) for w in traj.iterates[start:]])
 
 
@@ -1126,14 +1135,19 @@ class TestClosureAwareConsumers:
     """sharpness_series and trajectory_to_csv work once per distinct state
     of a closed orbit; every result must be the per-row one, byte for byte."""
 
-    @pytest.mark.parametrize("name,record_every,tail_window", SHARPNESS_CASES)
+    @pytest.mark.parametrize("name,record_every,tail_window", SHARPNESS_CASES + [
+        ("period4_1d", 1, 4096),
+        ("period4_1d", 1000, 64),
+        ("chaotic_1d", 1, 4096),
+    ])
     def test_sharpness_matches_per_row(self, name, record_every, tail_window, monkeypatch):
+        # one path at every d, 1 included: the per-row lambda_max(hessian)
         obj, traj = closure_run(name, "logistic", record_every, tail_window)
-        assert obj.dim >= 2
         calls = []
 
         def counted(m):
-            calls.append(1)
+            # the matrices lambda_max is given, one or a stack per call
+            calls.append(np.asarray(m)[..., 0, 0].size)
             return lambda_max(m)
 
         by_row = _sharpness_by_row(obj, traj)
@@ -1146,7 +1160,7 @@ class TestClosureAwareConsumers:
                     mp.setattr(g.analysis, "lambda_max", counted)
                     got = g.sharpness_series(obj, *args)
                 assert got.tobytes() == want.tobytes()
-                assert len(calls) == _distinct_states(part)
+                assert sum(calls) == _distinct_states(part)
 
     @pytest.mark.parametrize("name,record_every,tail_window", SHARPNESS_CASES + [
         ("period4_1d", 1, 4096),

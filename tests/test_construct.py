@@ -69,6 +69,12 @@ class TestPeriod2Points:
         with pytest.raises(ValueError, match="undefined"):
             g.period2_points(7.9)
 
+    def test_nan_undefined(self):
+        # NaN fails eta < 8 as well as eta >= 8; unchecked, it returned a
+        # made-up pair near (0.5, 0.5)
+        with pytest.raises(ValueError, match="undefined"):
+            g.period2_points(float("nan"))
+
     def test_solves_defining_equation(self):
         # check u = tanh((eta/8) u): this form stays well-conditioned as the
         # root approaches 1, where atanh amplifies one ulp of u enormously

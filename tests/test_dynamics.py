@@ -1471,6 +1471,27 @@ class TestOrbitDiagnostics:
         with pytest.raises(ValueError):
             g.orbit_multiplier(obj, np.empty((0, 1)), 1.0)
 
+    @pytest.mark.parametrize("eta", [-1.0, 0.0, np.nan, np.inf])
+    def test_step_size_checked(self, eta):
+        # unchecked, eta = -1 answered 1.77 and NaN failed inside eigvals
+        obj = toy3_objective()
+        with pytest.raises(ValueError, match="step size"):
+            g.orbit_multiplier(obj, [[0.5]], eta)
+
+    @pytest.mark.parametrize("fixture", ["cycle4", "cycle7", "cycle37"])
+    def test_1d_multiplier_is_the_python_float_product(self, fixture, request):
+        # the one matrix-product path gives, at d = 1, the bits of the
+        # product of Python floats 1 - eta L''(w) along the orbit, from
+        # every phase
+        obj, _, eta, _, rep = request.getfixturevalue(fixture)
+        assert rep.kind == "cycle"
+        for k in range(rep.period):
+            orbit = np.roll(rep.orbit, -k, axis=0)
+            prod = 1.0
+            for w in orbit:
+                prod *= 1.0 - eta * float(obj.hessian(w)[0, 0])
+            assert g.orbit_multiplier(obj, orbit, eta) == abs(prod)
+
     def test_detected_cycle_multiplier_and_lyapunov_consistent(self):
         # asymmetric two-point oscillation: lyapunov ~ log(multiplier)/k
         obj = toy3_objective()
@@ -1492,18 +1513,29 @@ class TestOrbitDiagnostics:
         assert lyap < 0.0
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_lyapunov_matches_per_state_loop(self, d):
-        # the batched estimate against the per-state Hessian loop it replaced
+    def test_lyapunov_matches_per_state_loop(self, d, request):
+        # the batched estimate against the per-state Hessian loop it replaced;
+        # at d = 1 both take the mean of the same per-state values, so the
+        # bits agree, on chaotic_1d's tail too
         rng = np.random.default_rng(20 + d)
         obj = g.Objective(random_nonseparable(rng, d), g.logistic())
         sol = g.minimize(obj)
         eta = 1.3 * sol.eta_two_lambda
         traj = g.run(obj, g.GDConfig(w0=sol.w_star + rng.normal(size=d), max_iters=1500,
                                      eta=eta))
-        for states in (traj.iterates, sol.w_star + 3.0 * rng.normal(size=(700, d))):
+        cases = [(obj, eta, traj.iterates),
+                 (obj, eta, sol.w_star + 3.0 * rng.normal(size=(700, d)))]
+        if d == 1:
+            chaos, _, chaos_eta, chaos_traj, _ = request.getfixturevalue("chaotic_run")
+            cases.append((chaos, chaos_eta, chaos_traj.dense_tail()[-chaos_traj.tail_window:]))
+        for obj, eta, states in cases:
             want = _lyapunov_by_hessian_loop(obj, states, eta)
             assert abs(want) > 1e-3
-            assert _lyapunov_from_states(obj, states, eta) == pytest.approx(want, rel=1e-12)
+            got = _lyapunov_from_states(obj, states, eta)
+            if d == 1:
+                assert got == want
+            else:
+                assert got == pytest.approx(want, rel=1e-12)
 
     def test_lyapunov_needs_dense_recording(self):
         obj = toy3_objective()
@@ -1517,3 +1549,10 @@ class TestOrbitDiagnostics:
         traj = g.run(obj, g.GDConfig(w0=[1.0], max_iters=500, eta=1.0))
         with pytest.raises(ValueError):
             g.lyapunov(obj, traj, 1.0, burn_in=100)
+
+    def test_negative_burn_in_rejected(self):
+        # unchecked, burn_in = -7000 averaged over the last 7000 states
+        obj = toy3_objective()
+        traj = g.run(obj, g.GDConfig(w0=[1.0], max_iters=10_000, eta=1.0))
+        with pytest.raises(ValueError, match="burn_in"):
+            g.lyapunov(obj, traj, 1.0, burn_in=-7000)

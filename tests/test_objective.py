@@ -177,6 +177,45 @@ class TestGradientHessianOracles:
             np.testing.assert_allclose(a.hessian(w), b.hessian(w), rtol=1e-13, atol=1e-16)
 
 
+def _hessian_one(obj, w):
+    """The one-state Hessian as first written: (A * c)^T A, symmetrized."""
+    c = obj._wts * obj.loss.d2(obj._A @ w)
+    h = (obj._A * c[:, None]).T @ obj._A
+    return 0.5 * (h + h.T)
+
+
+class TestHessianStack:
+    # sharpness_series, the sweep, orbit_multiplier and the Lyapunov
+    # estimate take one Hessian call on a stack of states, so each matrix
+    # must have the bits of its own state's Hessian
+    @pytest.mark.parametrize("loss", ["logistic", "squareplus"])
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_stack_matches_each_state(self, d, loss):
+        rng = np.random.default_rng(100 * d + len(loss))
+        for G in (1, 3, 17, 30):
+            xs = rng.standard_normal((G, d)) * 10.0 ** rng.integers(-2, 3, (G, d))
+            xs[rng.random((G, d)) < 0.2] = 0.0
+            xs[0, 0] = 1.0
+            ds = g.Dataset(xs, rng.choice([-1, 1], G), rng.integers(1, 50, G))
+            obj = g.Objective(ds, g.get_loss(loss))
+            for shape in ((d,), (13, d), (3, 4, d)):
+                W = rng.standard_normal(shape) * 10.0 ** rng.integers(-2, 2, shape)
+                H = obj.hessian(W)
+                assert H.shape == shape + (d,)
+                want = np.array([_hessian_one(obj, w) for w in W.reshape(-1, d)])
+                _same_bits(H, want.reshape(H.shape))
+                for w, h in zip(W.reshape(-1, d), H.reshape(-1, d, d)):
+                    _same_bits(h, obj.hessian(w))
+
+    @pytest.mark.parametrize("shape", [(2,), (5, 2), (2, 3, 2)])
+    def test_non_finite_entry_raises(self, shape):
+        obj = g.Objective(random_nonseparable(np.random.default_rng(4), 2), g.logistic())
+        W = np.ones(shape)
+        W.reshape(-1, 2)[-1, 0] = np.nan
+        with pytest.raises(FloatingPointError):
+            obj.hessian(W)
+
+
 class TestDiverged:
     @pytest.mark.parametrize("value,want", [
         (np.nan, True), (np.inf, True), (-np.inf, True),
@@ -303,10 +342,28 @@ class TestLambdaMax:
     def test_zero_matrix(self):
         assert g.lambda_max(np.zeros((4, 4))) == 0.0
 
-    def test_cap_raises_with_last_estimate(self):
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_stack_gives_each_matrix_its_bits(self, d):
+        rng = np.random.default_rng(30 + d)
+        M = rng.standard_normal((4, 6, d, d)) * 10.0 ** rng.integers(-3, 4, (4, 6, 1, 1))
+        M = 0.5 * (M + np.swapaxes(M, -1, -2))
+        M[0, 0] = 0.0
+        top = g.lambda_max(M)
+        assert top.shape == (4, 6)
+        want = np.array([g.lambda_max(m) for m in M.reshape(-1, d, d)]).reshape(4, 6)
+        _same_bits(top, want)
+        assert isinstance(g.lambda_max(M[1, 2]), float)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3)])
+    def test_not_square_raises(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            g.lambda_max(np.ones(shape))
+
+    def test_cap_raises_with_last_estimate(self, monkeypatch):
         m = np.diag([1.0, 1.0 - 1e-9, 0.5])
+        monkeypatch.setattr(g.objective, "POWER_MAX_ITERS", 3)
         with pytest.raises(g.PowerIterationError) as exc:
-            g.lambda_max(m, max_iters=3)
+            g.lambda_max(m)
         assert hasattr(exc.value, "last_estimate")
 
 

@@ -124,14 +124,63 @@ def test_step_products_read_the_workspace_operand():
              if isinstance(node, ast.Assign) and len(node.targets) == 1}
     assert {"self.At", "self.product"} <= picks, "StepWork no longer picks the product"
     assert _takes_a_transpose(defs["StepWork"]), "StepWork no longer builds Aᵀ"
-    # the Lyapunov estimate's curvatures of recorded states are not a step
-    allowed = {"StepWork", "_lyapunov_from_states"}
     elsewhere = {}
     for node in tree.body:
         name, lines = getattr(node, "name", "<module>"), _takes_a_transpose(node)
-        if lines and name not in allowed:
+        if lines and name != "StepWork":
             elsewhere.setdefault(name, []).extend(lines)
     assert not elsewhere, f"dynamics.py takes Aᵀ outside StepWork: {elsewhere}"
+
+
+def _names_bound_to_A(tree) -> set:
+    """Names assigned ``<x>._A`` anywhere in ``tree``, alone or in a tuple."""
+    bound = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Assign):
+            continue
+        for target in node.targets:
+            pairs = [(target, node.value)]
+            if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                pairs = zip(target.elts, node.value.elts)
+            bound |= {t.id for t, v in pairs if isinstance(t, ast.Name)
+                      and isinstance(v, ast.Attribute) and v.attr == "_A"}
+    return bound
+
+
+def _products_of_A_with_itself(tree) -> list:
+    """Lines that multiply A by A: a ``*``, ``@`` or ``**`` whose operands
+    both read ``<x>._A`` (or a name bound to it), a power of it, or a
+    product call (matmul, dot, einsum, outer, ...) given it twice."""
+    bound = _names_bound_to_A(tree)
+
+    def reads_A(node) -> bool:
+        return any(isinstance(n, ast.Attribute) and n.attr == "_A"
+                   or isinstance(n, ast.Name) and n.id in bound for n in ast.walk(node))
+
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.MatMult)):
+            if reads_A(node.left) and reads_A(node.right):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            if reads_A(node.left):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Call) and sum(map(reads_A, node.args)) >= 2:
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_curvature_sum_formed_in_objective_alone(path):
+    # Objective._curvature_sum is the one weighted sum of outer products of
+    # A's rows: the Hessian, its stacks, the second moment and the trap
+    # balls' bounds read it.  A product of A with itself anywhere else is a
+    # second Hessian, with bits of its own.
+    lines = _products_of_A_with_itself(ast.parse(path.read_text(), filename=str(path)))
+    if path.name == "objective.py":
+        assert lines, "objective.py no longer forms the curvature sum"
+    else:
+        assert not lines, f"{path.name} multiplies A by itself on lines {lines}"
 
 
 def test_step_calls_no_python_float_reductions_or_math():
