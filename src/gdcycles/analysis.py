@@ -17,14 +17,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import objective
 from .certify import trap_balls
 from .dynamics import (
-    _LOSS_BLOCK_FLOATS,
     StepWork,
     Trajectory,
     _final_states,
     _lyapunov_from_states,
     _state_blocks,
+    check_count,
     orbit_multiplier,
     resolve_eta,
     step_many,
@@ -92,11 +93,10 @@ def _window_residual(tail: np.ndarray, k: int) -> float:
 
 
 def check_cycle_args(k_max: int, tol: float = DEFAULT_CYCLE_TOL) -> None:
-    """Raise ValueError unless ``k_max`` >= 1 and ``tol`` is positive and
-    finite: with either out of range no period can be found, and
-    ``detect_cycle`` would report "undetermined" for any orbit."""
-    if not k_max >= 1:
-        raise ValueError(f"k_max must be at least 1, got {k_max}")
+    """Raise ValueError unless ``k_max`` is an integer >= 1 and ``tol`` is
+    positive and finite: with either out of range no period can be found,
+    and ``detect_cycle`` would report "undetermined" for any orbit."""
+    check_count("k_max", k_max)
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
 
@@ -204,10 +204,10 @@ def psd(losses: Sequence[float], window: int = 1024) -> PsdResult:
 
 @dataclass(frozen=True)
 class SweepCell:
-    """One (step size, initialization) cell of a bifurcation sweep.  Its
-    scaled sharpness at the final state w_T comes from one Hessian stack per
-    tail block, bit for bit eta * lambda_max(obj.hessian(w_T)) / 2; a
-    diverged cell has NaN there and no tail values."""
+    """One (step size, initialization) cell of a bifurcation sweep, each value
+    bit for bit its state's own: tail losses obj.value(w), probes
+    sigmoid(obj.margins(w)[pn_group]) and the scaled sharpness eta *
+    lambda_max(obj.hessian(w_T)) / 2; a diverged cell has NaN and no tail."""
 
     eta: float
     init_index: int
@@ -334,7 +334,8 @@ def bifurcation_sweep(
       A tail step only steps, guards and records the block's states; once
       the block is stepped, its losses and probes are evaluated from the
       recorded states, as many steps at a time as fit 2**14 margins
-      (``dynamics._LOSS_BLOCK_FLOATS``), with the per-step expressions.
+      (``objective._LOSS_BLOCK_FLOATS``), one ``obj.margins`` product per
+      chunk feeding the loss (``obj.value``'s unchecked sum) and the probe.
 
     Every matrix product runs on the same (n_inits, d) layers as a
     one-step-size sweep, so a cell does not depend on the grid around it:
@@ -354,28 +355,24 @@ def bifurcation_sweep(
         raise ValueError(f"step sizes must be positive and finite, got {eta_grid}")
     if np.any(np.diff(eta_grid) <= 0.0):
         raise ValueError("eta_grid must be strictly ascending")
-    if n_inits < 1 or T < 1 or tail < 1:
-        raise ValueError(f"n_inits, T and tail must be positive, got {n_inits}, {T}, {tail}")
+    n_inits, T, tail = (check_count(name, v) for name, v in
+                        (("n_inits", n_inits), ("T", T), ("tail", tail)))
     scale_arr = np.asarray(scales, dtype=float)
     if scale_arr.ndim != 1 or len(scale_arr) == 0 or not np.all(np.isfinite(scale_arr)):
         raise ValueError(f"scales must be a nonempty sequence of finite values, got {scales}")
-    A = obj._A
-    if pn_group is not None and not 0 <= pn_group < len(A):
-        raise ValueError(f"pn_group must index one of the {len(A)} dataset groups, "
+    G = obj.ds.n_groups
+    if pn_group is not None and not 0 <= pn_group < G:
+        raise ValueError(f"pn_group must index one of the {G} dataset groups, "
                          f"got {pn_group}")
     rng = np.random.default_rng(seed)
     d = obj.dim
     inits = rng.standard_normal((n_inits, d)) * np.resize(scale_arr, n_inits)[:, None]
     tail_steps = min(tail, T)
     etas_per_block = max(1, _SWEEP_BLOCK_FLOATS // (tail_steps * n_inits))
-    etas_per_stack = max(1, _SWEEP_BLOCK_FLOATS // (max(len(A), d) * n_inits))
+    etas_per_stack = max(1, _SWEEP_BLOCK_FLOATS // (max(G, d) * n_inits))
     if etas_per_stack > etas_per_block:
         # whole tail blocks per stack, so only the grid's last block is short
         etas_per_stack -= etas_per_stack % etas_per_block
-
-    wts = obj._wts
-    loss = obj.loss
-    pn_row = None if pn_group is None else A[pn_group]
 
     cells = []
     row_steps = 0
@@ -419,16 +416,15 @@ def bifurcation_sweep(
                     W[dead] = 0.0
                 tail_states[k] = W
             row_steps += alive.size * steps
-            # the values of the recorded states, a chunk of steps at a time;
-            # each (n_inits, G) layer is multiplied as a per-step product would
+            # the values of the recorded states, a chunk of steps at a time
             tail_losses = np.empty((steps,) + alive.shape)
-            tail_pn = np.empty((steps,) + alive.shape) if pn_row is not None else None
-            chunk = max(1, _LOSS_BLOCK_FLOATS // (alive.size * len(A)))
+            tail_pn = np.empty((steps,) + alive.shape) if pn_group is not None else None
+            chunk = max(1, objective._LOSS_BLOCK_FLOATS // (alive.size * G))
             for c in range(0, steps, chunk):
-                S = tail_states[c:c + chunk]
-                tail_losses[c:c + chunk] = loss.f(S @ A.T) @ wts
+                Z = obj.margins(tail_states[c:c + chunk])
+                obj._loss_sum(Z, out=tail_losses[c:c + chunk])
                 if tail_pn is not None:
-                    tail_pn[c:c + chunk] = sigmoid(S @ pn_row)
+                    tail_pn[c:c + chunk] = sigmoid(Z[..., pn_group])
             # the live cells' final states, one Hessian stack for the block
             jj, ii = np.nonzero(~dead)
             w_T = tail_states[(tail_steps - 1) % period[jj, ii], jj, ii] if closed else W[jj, ii]
@@ -439,7 +435,7 @@ def bifurcation_sweep(
                 for i in range(n_inits):
                     if dead[j, i]:
                         cells.append(SweepCell(eta, i, np.array([]), float("nan"), True,
-                                               np.array([]) if pn_row is not None else None))
+                                               np.array([]) if pn_group is not None else None))
                         continue
                     p = int(period[j, i]) if closed else steps
                     fl = _dedup(tail_losses[:p, j, i])
@@ -466,12 +462,12 @@ class BasinRaster:
 
 def check_raster(bounds, resolution, T: int):
     """The bounds and resolution of a basin raster as floats and ints;
-    raise ValueError unless nx, ny and T are at least 1 and the bounds are
-    finite with xmin < xmax and ymin < ymax."""
+    raise ValueError unless nx, ny and T are integers >= 1 and the bounds
+    are finite with xmin < xmax and ymin < ymax."""
     xmin, xmax, ymin, ymax = (float(v) for v in bounds)
-    nx, ny = (int(v) for v in resolution)
-    if nx < 1 or ny < 1 or T < 1:
-        raise ValueError(f"nx, ny and T must be positive, got {nx}, {ny}, {T}")
+    nx, ny = resolution
+    nx, ny = check_count("nx", nx), check_count("ny", ny)
+    check_count("T", T)
     if not (np.isfinite([xmin, xmax, ymin, ymax]).all() and xmin < xmax and ymin < ymax):
         raise ValueError("bounds must be finite with xmin < xmax and ymin < ymax, "
                          f"got {(xmin, xmax, ymin, ymax)}")

@@ -102,9 +102,10 @@ def _jacobians(obj: Objective, eta: float, orbit: np.ndarray, reach: np.ndarray)
 
     Each group's curvature l''(a_i . w) over the ball lies between l'' at
     the ends of the margin's range, and below l''(0) if the range holds 0
-    (l'' is unimodal about 0).  With those intervals [k_lo, k_hi] every
-    Hessian over the ball lies in the Loewner interval H_mid -+ R, R =
-    sum_i c_i (k_hi - k_lo) / 2 a_i a_i^T: |H - H_mid| <= lambda_max(R).
+    (l'' is unimodal about 0); its centre ``obj.margins(o_k)`` is good to
+    (d + 1)u |a_i||o_k| in any rounding order.  With those intervals [k_lo,
+    k_hi] every Hessian over the ball lies in the Loewner interval H_mid -+
+    R, R = sum_i c_i (k_hi - k_lo) / 2 a_i a_i^T: |H - H_mid| <= lambda_max(R).
 
     Both sums come from ``Objective._curvature_sum``, whose matmul rounds
     each term twice (the weighted row c_i w_i a_i, then its product with
@@ -118,7 +119,7 @@ def _jacobians(obj: Objective, eta: float, orbit: np.ndarray, reach: np.ndarray)
     A, c = obj._A, obj._wts
     G, d = A.shape
     a = np.linalg.norm(A, axis=1)
-    z = orbit @ A.T                                          # (p, G)
+    z = obj.margins(orbit)                                   # (p, G)
     half = (a * reach[:, None, None] * (1.0 + _REL)
             + (d + 1) * _U * a * np.linalg.norm(orbit, axis=1)[:, None])   # (n, p, G)
     half = half + _REL * (np.abs(z) + half)

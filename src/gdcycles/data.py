@@ -41,8 +41,7 @@ class Dataset:
 
     def __post_init__(self):
         xs = np.atleast_2d(np.asarray(self.xs, dtype=float))
-        ys = np.asarray(self.ys, dtype=np.int64).ravel()
-        counts = np.asarray(self.counts, dtype=np.int64).ravel()
+        ys, counts = _integers(self.ys, "labels"), _integers(self.counts, "counts")
         if xs.shape[0] == 0:
             raise ValueError("dataset needs at least one group")
         if xs.shape[0] != ys.shape[0] or xs.shape[0] != counts.shape[0]:
@@ -74,6 +73,17 @@ class Dataset:
     def expanded(self) -> np.ndarray:
         """Feature rows repeated by multiplicity, (N, d)."""
         return np.repeat(self.xs, self.counts, axis=0)
+
+
+def _integers(values, name: str) -> np.ndarray:
+    """``values`` flattened to int64, or ValueError unless each is an
+    integer value: a cast alone would take 1.5 for 1."""
+    arr = np.asarray(values).ravel()
+    with np.errstate(invalid="ignore"):    # NaN and inf cast to junk, caught below
+        ints = arr.astype(np.int64)
+    if not np.array_equal(ints, arr):
+        raise ValueError(f"{name} must be integers, got {arr}")
+    return ints
 
 
 @dataclass(frozen=True)

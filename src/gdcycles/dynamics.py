@@ -23,6 +23,7 @@ __all__ = [
     "GDConfig",
     "Trajectory",
     "resolve_eta",
+    "check_count",
     "gd_step",
     "StepWork",
     "step_many",
@@ -65,6 +66,15 @@ def resolve_eta(
     return eta
 
 
+def check_count(name: str, value, least: int = 1) -> int:
+    """``value`` as an int, or ValueError unless it is an integer of at
+    least ``least``: a float (even 2.0) or a bool is no count."""
+    # numpy integers are Integral; bools are too, but no count
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class GDConfig:
     """Run configuration: start, length, step size and recording policy."""
@@ -80,12 +90,7 @@ class GDConfig:
         if not np.all(np.isfinite(self.w0)):
             raise ValueError(f"w0 must be finite, got {self.w0}")
         for name in ("max_iters", "record_every", "tail_window"):
-            value = getattr(self, name)
-            # numpy integers are Integral; bools are too, but no count
-            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                    or value < 1):
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-            setattr(self, name, int(value))
+            setattr(self, name, check_count(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -383,9 +388,9 @@ def run(obj: Objective, cfg: GDConfig) -> Trajectory:
     truncates the run and sets the flag instead of raising: step-size
     sweeps must tolerate diverging cells.
 
-    The loop only steps and keeps the recorded iterates.  The losses are
-    evaluated after the loop from their margins (``obj.margins`` of the
-    stack), block by block, each row's loss bit-identical to ``obj.value``.
+    The loop only steps and keeps the recorded iterates.  After it, the
+    losses are written into place by ``obj.value``'s unchecked sum, bit for
+    bit ``obj.value`` of each state (the last may have diverged).
 
     The map is a pure function of the bits of w, so once an iterate repeats
     an earlier one byte for byte, the orbit is periodic from there on.  Each
@@ -450,12 +455,12 @@ def run(obj: Objective, cfg: GDConfig) -> Trajectory:
 
     losses = np.empty(n)
     stepped = n if stepped is None else stepped
-    _losses_from_margins(obj, obj.margins(iterates[:stepped]), out=losses[:stepped])
+    obj._loss_sum(obj.margins(iterates[:stepped]), out=losses[:stepped])
     if stepped < n:
         # the filled rows copy the states and losses of the cycle
         states = np.array(cycle)
         _fill_periodic(rec_times[stepped:], closed_at, (iterates[stepped:], states),
-                       (losses[stepped:], _losses_from_margins(obj, obj.margins(states))))
+                       (losses[stepped:], obj._loss_sum(obj.margins(states))))
 
     return Trajectory(
         times=rec_times[:n],
@@ -544,35 +549,14 @@ def _row_bits(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.int64).reshape(len(rows), -1)
 
 
-# The loss is evaluated over blocks of at most this many margins (128 KiB),
-# so its temporaries stay small however long the run.
-_LOSS_BLOCK_FLOATS = 2**14
-
-
-def _losses_from_margins(obj: Objective, Z: np.ndarray, out: Optional[np.ndarray] = None
-                         ) -> np.ndarray:
-    """The objective at each row of margins, written into ``out`` when
-    given.  Each row is summed by its own dot product, as ``obj.value``
-    does: one ``np.vecdot`` per block calls the same dot kernel on every
-    row as ``wts @ f``, bit for bit, without a Python loop.  A matrix-vector
-    product over the block (``F @ wts``, ``np.einsum``) rounds some rows
-    differently."""
-    wts = obj._wts
-    if out is None:
-        out = np.empty(len(Z))
-    rows = max(1, _LOSS_BLOCK_FLOATS // Z.shape[1])
-    for lo in range(0, len(Z), rows):
-        F = obj.loss.f(Z[lo:lo + rows])
-        np.vecdot(F, wts, out=out[lo:lo + len(F)])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Probability-space recurrence (logistic loss only)
 # ---------------------------------------------------------------------------
 
 def _require_logistic(obj: Objective):
-    if obj.loss.name != "logistic":
+    # by its derivative, as StepWork tells it, not by its name: any loss may
+    # be named "logistic", and the logistic loss may go by another name
+    if obj.loss.d1 is not sigmoid:
         raise TypeError("the probability-space recurrence is specific to the logistic loss")
 
 
@@ -603,6 +587,7 @@ def prob_step(obj: Objective, p: np.ndarray, eta: float) -> np.ndarray:
 def run_prob(obj: Objective, p0: np.ndarray, eta: float, iters: int) -> np.ndarray:
     """Iterate prob_step, clamping into the representable open interval each
     step.  Returns the (iters+1, G) sequence including p0."""
+    iters = check_count("iters", iters, least=0)
     p = np.asarray(p0, dtype=float).copy()
     hi = 1.0 - np.finfo(float).epsneg  # largest float strictly below 1
     out = np.empty((iters + 1, len(p)))
@@ -673,8 +658,7 @@ def lyapunov(obj: Objective, traj: Trajectory, eta: float, burn_in: int) -> floa
     """
     if traj.record_every != 1:
         raise ValueError("lyapunov needs a densely recorded trajectory (record_every=1)")
-    if burn_in < 0:
-        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
+    burn_in = check_count("burn_in", burn_in, least=0)
     if len(traj.iterates) < burn_in + 1000:
         raise ValueError("trajectory too short for the requested burn-in")
     return _lyapunov_from_states(obj, traj.iterates[burn_in:], eta)

@@ -44,6 +44,15 @@ def synthetic_trajectory(tail: np.ndarray, eta: float = 1.0) -> Trajectory:
 
 
 class TestDetectCycle:
+    @pytest.mark.parametrize("k_max", [2.5, 4.0, True, 0, -1], ids=repr)
+    def test_k_max_must_be_a_count(self, k_max):
+        # k_max = 2.5 once raised TypeError from a slice, and True ran as 1
+        with pytest.raises(ValueError, match="k_max must be an integer >= 1"):
+            analysis.check_cycle_args(k_max)
+        traj = synthetic_trajectory(np.tile([0.0, 1.0], 20)[:, None])
+        with pytest.raises(ValueError, match="k_max"):
+            g.detect_cycle(toy3_objective(), traj, k_max=k_max)
+
     def test_fixed_point_on_convergent_run(self):
         obj = toy3_objective()
         sol = g.minimize(obj)
@@ -456,7 +465,10 @@ def plain_sweep_cells(obj, grid, n_inits, T, tail, seed, pn_group=None, bound=1e
     """A sweep's cells as bytes, from a plain loop: each step size's
     (n_inits, d) layer stepped T times on its own, a cell frozen at zero
     once its sup-norm passes ``bound`` (or is NaN), and the tail losses and
-    probes recorded at every one of the last min(tail, T) steps."""
+    probes recorded at every one of the last min(tail, T) steps: each loss
+    the value of its state alone (``obj.value`` without its finiteness
+    check, since a finite state's loss may overflow), each probe
+    sigmoid(obj.margins(w)[pn_group])."""
     A, wts, scales = obj._A, obj._wts, analysis.DEFAULT_SCALES
     inits = np.random.default_rng(seed).standard_normal((n_inits, obj.dim)) * \
         np.array([scales[i % len(scales)] for i in range(n_inits)])[:, None]
@@ -469,9 +481,9 @@ def plain_sweep_cells(obj, grid, n_inits, T, tail, seed, pn_group=None, bound=1e
             dead |= ~(np.abs(W).max(axis=1) <= bound)
             W[dead] = 0.0
             if t > T - tail:
-                losses.append(obj.loss.f(W @ A.T) @ wts)
+                losses.append([obj._loss_sum(obj.margins(w)) for w in W])
                 if pn_group is not None:
-                    probes.append(sigmoid(W @ A[pn_group]))
+                    probes.append([sigmoid(obj.margins(w)[pn_group]) for w in W])
         losses, probes = np.array(losses), np.array(probes)
         for i in range(n_inits):
             if dead[i]:
@@ -541,6 +553,15 @@ class TestBifurcationSweep:
         obj = g.Objective(g.make_toy(g.ToySpec(2, [1.0])), g.logistic())
         args = {"n_inits": 2, "T": 10, **kwargs}
         with pytest.raises(ValueError):
+            g.bifurcation_sweep(obj, [1.0, 9.0], **args)
+
+    @pytest.mark.parametrize("name", ["n_inits", "T", "tail"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True], ids=repr)
+    def test_counts_must_be_integers(self, name, value):
+        # a count of 2.5 once raised TypeError from deep inside the sweep
+        obj = g.Objective(g.make_toy(g.ToySpec(2, [1.0])), g.logistic())
+        args = {"n_inits": 2, "T": 10, "tail": 4, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
             g.bifurcation_sweep(obj, [1.0, 9.0], **args)
 
     @pytest.mark.parametrize("grid,scales", [
@@ -682,7 +703,7 @@ class TestBifurcationSweep:
             chunk_steps = {"tail-values-in-chunks-of-1-step": 1,
                            "tail-values-in-chunks-of-3-steps": 3}.get(case)
             if chunk_steps is not None:
-                monkeypatch.setattr(analysis, "_LOSS_BLOCK_FLOATS", 16 * chunk_steps)
+                monkeypatch.setattr(objective, "_LOSS_BLOCK_FLOATS", 16 * chunk_steps)
         elif case == "one-init-2d":
             # (1, G) layers, whose products take numpy's one-row paths
             obj = g.Objective(random_nonseparable(np.random.default_rng(4), 2), g.logistic())
@@ -811,6 +832,20 @@ class TestBifurcationSweep:
 
 
 class TestBasinRaster:
+    @pytest.mark.parametrize("resolution,T", [
+        ((2.7, 3.9), 10), ((4, 4.0), 10), ((True, 4), 10), ((4, np.True_), 10),
+        ((4, 4), 2.5), ((4, 4), True),
+    ], ids=["nx-ny-floats", "ny-integral-float", "nx-bool", "ny-numpy-bool", "T-float",
+            "T-bool"])
+    def test_counts_must_be_integers(self, resolution, T):
+        # int() once took (2.7, 3.9) as (2, 3) and True as 1
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
+            analysis.check_raster((-1, 1, -1, 1), resolution, T)
+
+    def test_numpy_integer_counts_accepted(self):
+        _, res = analysis.check_raster((-1, 1, -1, 1), (np.int64(3), np.int32(5)), np.int16(7))
+        assert res == (3, 5) and all(type(v) is int for v in res)
+
     def test_needs_2d(self):
         with pytest.raises(ValueError):
             g.basin_raster(toy3_objective(), 1.0, (-1, 1, -1, 1), (4, 4),

@@ -401,7 +401,7 @@ class TestUsageErrors:
             capsys, "trajectory", "--data", str(RECIPES / "toy_n2.cds"), "--eta", "6.5",
             "--w0", "0.3", "--iters", "2000", "--k-max", k_max, "--out", str(out_dir))
         assert code == 1 and out == ""
-        assert err == f"error: k_max must be at least 1, got {k_max}\n"
+        assert err == f"error: k_max must be an integer >= 1, got {k_max}\n"
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("data,argv", [

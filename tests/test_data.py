@@ -142,6 +142,21 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError):
             g.Dataset(np.array([[0.0, 0.0]]), np.array([1]), np.array([1]))
 
+    @pytest.mark.parametrize("ys,counts,field", [
+        ([1.5, 1], [2, 1], "labels"), ([1, -1], [2.7, 1], "counts"),
+        ([1.5, 1], [2.7, 1], "labels"), ([np.nan, 1], [1, 1], "labels"),
+        ([1, 1], [np.inf, 1], "counts"), ([1, -1], [1e30, 1], "counts"),
+    ], ids=["label-1.5", "count-2.7", "both", "nan-label", "inf-count", "huge-count"])
+    def test_non_integer_labels_and_counts_rejected(self, ys, counts, field):
+        # a cast alone took label 1.5 for 1 and count 2.7 for 2
+        with pytest.raises(ValueError, match=f"{field} must be integers"):
+            g.Dataset(np.array([[1.0], [2.0]]), ys, counts)
+
+    def test_integer_valued_floats_and_numpy_integers_accepted(self):
+        ds = g.Dataset(np.array([[1.0], [2.0]]), [1.0, -1.0], np.array([3, 1], dtype=np.uint8))
+        assert ds.ys.tolist() == [1, -1] and ds.counts.tolist() == [3, 1]
+        assert ds.ys.dtype == ds.counts.dtype == np.int64
+
     def test_flip_symmetry(self):
         # negating (x, y) jointly for any group leaves the objective unchanged
         rng = np.random.default_rng(11)

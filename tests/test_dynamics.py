@@ -1,6 +1,7 @@
 """GD map iteration, trajectories, the probability-space recurrence, and
 orbit stability estimates."""
 
+import dataclasses
 import functools
 import gc
 import itertools
@@ -14,17 +15,15 @@ import pytest
 import gdcycles as g
 from gdcycles.cli import _load_recipe
 from gdcycles.dynamics import (
-    _LOSS_BLOCK_FLOATS,
     _PHASE_BLOCK_ROWS,
     _RepeatCheck,
     _final_states,
-    _losses_from_margins,
     _lyapunov_from_states,
     _row_bits,
     _state_blocks,
 )
 from gdcycles.losses import ScalarLoss
-from gdcycles.objective import DIVERGENCE_NORM
+from gdcycles.objective import _LOSS_BLOCK_FLOATS, DIVERGENCE_NORM
 from conftest import admissible_1d, closure_run, random_nonseparable, slice_starts
 
 
@@ -541,7 +540,7 @@ def _run_by_stepping(obj, cfg):
         iterates[n] = w
         margins[n] = A @ w
         n += 1
-    return rec_times[:n], iterates[:n], _losses_from_margins(obj, margins[:n]), diverged
+    return rec_times[:n], iterates[:n], obj._loss_sum(margins[:n]), diverged
 
 
 def _assert_run_is_stepping(obj, cfg, stepping_obj=None):
@@ -1220,7 +1219,7 @@ class TestStateBlocks:
 
 def _losses_row_by_row(obj, Z):
     """The losses of the rows of margins Z, each summed by its own
-    ``wts @ f`` over the same loss blocks as ``_losses_from_margins``."""
+    ``wts @ f`` over the same loss blocks as ``Objective._loss_sum``."""
     out = np.empty(len(Z))
     rows = max(1, _LOSS_BLOCK_FLOATS // Z.shape[1])
     for lo in range(0, len(Z), rows):
@@ -1261,11 +1260,11 @@ class TestLossesFromMargins:
         obj = _objective_with_groups(rng, G, loss)
         Z = _random_margins(rng, 3000, G)
         want = _losses_row_by_row(obj, Z)
-        assert _losses_from_margins(obj, Z).tobytes() == want.tobytes()
+        assert obj._loss_sum(Z).tobytes() == want.tobytes()
         # into a slice of a longer buffer, as run writes them; the rows
         # around it stay untouched
         buf = np.full(len(Z) + 5, 7.0)
-        _losses_from_margins(obj, Z, out=buf[2:2 + len(Z)])
+        obj._loss_sum(Z, out=buf[2:2 + len(Z)])
         assert buf[2:2 + len(Z)].tobytes() == want.tobytes()
         assert buf[:2].tolist() == [7.0, 7.0] and buf[-3:].tolist() == [7.0] * 3
 
@@ -1281,10 +1280,10 @@ class TestLossesFromMargins:
             Z[edge - 1:edge + 1] = rng.choice(_HUGE_MARGINS, size=(2, G))
         want = _losses_row_by_row(obj, Z)
         assert np.max(want) > 1e299
-        assert _losses_from_margins(obj, Z).tobytes() == want.tobytes()
+        assert obj._loss_sum(Z).tobytes() == want.tobytes()
         for n in (rows - 1, rows, rows + 1):
             out = np.empty(n)
-            _losses_from_margins(obj, Z[:n], out=out)
+            obj._loss_sum(Z[:n], out=out)
             assert out.tobytes() == want[:n].tobytes()
 
 
@@ -1365,6 +1364,25 @@ class TestProbabilityRecurrence:
         with pytest.raises(TypeError):
             g.prob_step(obj, np.array([0.5, 0.5]), 1.0)
 
+    def test_another_loss_named_logistic_is_refused(self):
+        # the name alone once let squareplus through, with sigmoid
+        # probabilities for its groups ([0.3775, 0.6225] at w = 0.5)
+        fake = dataclasses.replace(g.squareplus(), name="logistic")
+        obj = g.Objective(g.make_toy(g.ToySpec(2, [1.0])), fake)
+        with pytest.raises(TypeError):
+            g.probs_from_weights(obj, np.array([0.5]))
+        with pytest.raises(TypeError):
+            g.prob_step(obj, np.array([0.5, 0.5]), 1.0)
+
+    def test_logistic_loss_under_another_name_is_accepted(self):
+        renamed = dataclasses.replace(g.logistic(), name="logit")
+        obj = g.Objective(g.make_toy(g.ToySpec(2, [1.0])), renamed)
+        ref = g.Objective(g.make_toy(g.ToySpec(2, [1.0])), g.logistic())
+        w = np.array([0.5])
+        assert g.probs_from_weights(obj, w).tobytes() == g.probs_from_weights(ref, w).tobytes()
+        p = np.array([0.4, 0.6])
+        assert g.prob_step(obj, p, 3.0).tobytes() == g.prob_step(ref, p, 3.0).tobytes()
+
     def test_rejects_saturated_probabilities(self):
         obj = toy3_objective()
         with pytest.raises(ValueError):
@@ -1390,6 +1408,16 @@ class TestProbabilityRecurrence:
             np.testing.assert_allclose(
                 g.probs_from_weights(obj, g.toy_minimizer(g.ToySpec(n, [1.0]))),
                 p_star, atol=1e-12)
+
+    @pytest.mark.parametrize("iters", [-1, 2.5, 3.0, True], ids=repr)
+    def test_iters_must_be_a_count(self, iters):
+        # iters = -1 once raised IndexError
+        with pytest.raises(ValueError, match="iters must be an integer >= 0"):
+            g.run_prob(toy3_objective(), np.array([0.4, 0.6]), 1.0, iters)
+
+    def test_zero_iters_gives_the_start(self):
+        p0 = np.array([0.4, 0.6])
+        assert g.run_prob(toy3_objective(), p0, 1.0, 0).tolist() == [p0.tolist()]
 
     def test_two_example_cycle_matches_closed_form(self):
         obj = g.Objective(g.make_toy(g.ToySpec(2, [1.0])), g.logistic())
@@ -1549,6 +1577,14 @@ class TestOrbitDiagnostics:
         traj = g.run(obj, g.GDConfig(w0=[1.0], max_iters=500, eta=1.0))
         with pytest.raises(ValueError):
             g.lyapunov(obj, traj, 1.0, burn_in=100)
+
+    @pytest.mark.parametrize("burn_in", [2.5, 10.0, True], ids=repr)
+    def test_burn_in_must_be_an_integer(self, burn_in):
+        # burn_in = 2.5 once raised TypeError from a slice, and True ran as 1
+        obj = toy3_objective()
+        traj = g.run(obj, g.GDConfig(w0=[1.0], max_iters=2000, eta=1.0))
+        with pytest.raises(ValueError, match="burn_in must be an integer >= 0"):
+            g.lyapunov(obj, traj, 1.0, burn_in=burn_in)
 
     def test_negative_burn_in_rejected(self):
         # unchecked, burn_in = -7000 averaged over the last 7000 states

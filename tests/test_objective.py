@@ -216,6 +216,51 @@ class TestHessianStack:
             obj.hessian(W)
 
 
+def _value_one(obj, w):
+    """The one-state value as first written: wts @ f(A w)."""
+    return float(obj._wts @ obj.loss.f(obj._A @ w))
+
+
+class TestValueStack:
+    # run, the sweep and minimize read the one blocked loss sum behind
+    # value, so each entry of a stack must have the bits of its own state's
+    # value, and a lone state the bits value gave before it took stacks
+    @pytest.mark.parametrize("loss", ["logistic", "squareplus"])
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_stack_matches_each_state(self, d, loss):
+        rng = np.random.default_rng(200 * d + len(loss))
+        for G in (1, 3, 17, 30):
+            xs = rng.standard_normal((G, d)) * 10.0 ** rng.integers(-2, 3, (G, d))
+            xs[rng.random((G, d)) < 0.2] = 0.0
+            xs[0, 0] = 1.0
+            ds = g.Dataset(xs, rng.choice([-1, 1], G), rng.integers(1, 50, G))
+            obj = g.Objective(ds, g.get_loss(loss))
+            for shape in ((d,), (13, d), (3, 4, d)):
+                W = rng.standard_normal(shape) * 10.0 ** rng.integers(-2, 2, shape)
+                V = obj.value(W)
+                if shape == (d,):
+                    assert type(V) is float
+                    assert np.float64(V).tobytes() == np.float64(_value_one(obj, W)).tobytes()
+                    continue
+                assert V.shape == shape[:-1]
+                want = np.array([_value_one(obj, w) for w in W.reshape(-1, d)])
+                _same_bits(V, want.reshape(V.shape))
+                for w, v in zip(W.reshape(-1, d), V.reshape(-1)):
+                    assert np.float64(obj.value(w)).tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize("shape", [(2,), (5, 2), (2, 3, 2)])
+    def test_non_finite_value_raises(self, shape):
+        obj = g.Objective(random_nonseparable(np.random.default_rng(4), 2), g.logistic())
+        W = np.ones(shape)
+        W.reshape(-1, 2)[-1, 0] = np.nan
+        with pytest.raises(FloatingPointError):
+            obj.value(W)
+        # a finite state whose value overflows
+        W.reshape(-1, 2)[-1] = 1e308
+        with pytest.raises(FloatingPointError), np.errstate(over="ignore"):
+            obj.value(W)
+
+
 class TestDiverged:
     @pytest.mark.parametrize("value,want", [
         (np.nan, True), (np.inf, True), (-np.inf, True),

@@ -84,10 +84,8 @@ def test_sweep_tail_loop_evaluates_nothing():
 
 def _takes_a_transpose(fn) -> list:
     """Lines of ``fn`` that take Aᵀ: ``.T`` of ``<x>._A`` or of a name bound
-    to ``<x>._A``."""
-    bound = {target.id for node in ast.walk(fn) if isinstance(node, ast.Assign)
-             and isinstance(node.value, ast.Attribute) and node.value.attr == "_A"
-             for target in node.targets if isinstance(target, ast.Name)}
+    to ``<x>._A``, alone or in a tuple."""
+    bound = _names_bound_to_A(fn)
     return [node.lineno for node in ast.walk(fn)
             if isinstance(node, ast.Attribute) and node.attr == "T"
             and (isinstance(node.value, ast.Attribute) and node.value.attr == "_A"
@@ -181,6 +179,40 @@ def test_curvature_sum_formed_in_objective_alone(path):
         assert lines, "objective.py no longer forms the curvature sum"
     else:
         assert not lines, f"{path.name} multiplies A by itself on lines {lines}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_a_transpose_taken_in_objective_and_step_work_alone(path):
+    # margins come from Objective.margins, one matrix-vector product per
+    # state; StepWork keeps the GD map's own Aᵀ operands.  A product with
+    # Aᵀ anywhere else is a second margin product, with bits of its own.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = {}
+    for node in tree.body:
+        lines = _takes_a_transpose(node)
+        if lines:
+            found[getattr(node, "name", "<module>")] = lines
+    if path.name == "objective.py":
+        assert found, "objective.py no longer takes Aᵀ"
+    elif path.name == "dynamics.py":
+        assert set(found) == {"StepWork"}, f"dynamics.py takes Aᵀ in {found}"
+    else:
+        assert not found, f"{path.name} takes Aᵀ in {found}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_loss_value_summed_in_objective_alone(path):
+    # Objective._loss_sum is the one sum of the loss over the groups: value,
+    # run's losses and the sweep's read it.  A call of a loss's .f anywhere
+    # else (losses.py aside, where the losses are defined and checked) is a
+    # second objective value, with bits of its own.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute) and node.func.attr == "f"]
+    if path.name == "objective.py":
+        assert lines, "objective.py no longer sums the loss"
+    elif path.name != "losses.py":
+        assert not lines, f"{path.name} calls a loss's .f on lines {lines}"
 
 
 def test_step_calls_no_python_float_reductions_or_math():
