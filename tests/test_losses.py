@@ -247,14 +247,6 @@ class TestStructuralAudit:
         assert not pos.passed
         assert pos.offending_z is not None and pos.offending_z > 40.0
 
-    def test_grid_must_cover_required_range(self):
-        with pytest.raises(ValueError):
-            g.verify_assumption1(g.logistic(), grid=(-10.0, 10.0, 101))
-
-    def test_eps_list_must_decrease(self):
-        with pytest.raises(ValueError):
-            g.verify_assumption1(g.logistic(), eps_list=(1e-3, 1e-2))
-
     def test_logistic_left_tail_is_tiny(self):
         # the generic audit only certifies decay toward 0; the exponential
         # tail is specific to this loss
