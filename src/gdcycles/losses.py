@@ -23,7 +23,6 @@ __all__ = [
     "get_loss",
     "LOSS_NAMES",
     "sigmoid",
-    "weighted_sigmoid",
     "verify_assumption1",
     "relu_limit_gap",
 ]
@@ -101,25 +100,6 @@ def sigmoid(z, out=None, scratch=None):
     np.maximum(e, np.sign(z, num), out=num)
     np.divide(num, np.add(e, _ONE, e), e)
     return e if out is not None else _out(e)
-
-
-def weighted_sigmoid(z, wts, out):
-    """sigmoid(z) * wts written into ``out``, bit for bit, for the few
-    margins of one state: z and ``out`` are distinct 1-D float64 arrays of
-    one length, and ``wts`` a list of that many Python floats.
-
-    -|z| and its exp are sigmoid's two numpy calls; the rest, which numpy
-    spends four more calls on, is done on Python floats.  ``+ - * /`` and
-    comparisons round once in IEEE 754 binary64, in Python as in numpy, so
-    the bits stay sigmoid's, NaN payloads included.  ``math.exp`` and a
-    Python ``sum`` would not keep them, so neither appears here."""
-    np.copysign(z, _MINUS_ONE, out)
-    np.exp(out, out)
-    # the numerator is 1.0 if z > 0 else e, which is max(e, sign(z)) for
-    # every z: e = 1 at z = +-0, and e carries a NaN z's payload
-    for i, (zi, ei, wi) in enumerate(zip(z.tolist(), out.tolist(), wts)):
-        out[i] = (1.0 if zi > 0 else ei) / (ei + 1.0) * wi
-    return out
 
 
 def _logistic_eval(z):

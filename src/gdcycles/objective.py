@@ -49,7 +49,7 @@ _LOSS_BLOCK_FLOATS = 2**14
 _GUARD_LOOP_MAX = 16
 
 
-def diverged(w: np.ndarray, axis=None):
+def diverged(w, axis=None):
     """The divergence guard: whether the sup-norm of w exceeds
     DIVERGENCE_NORM or is NaN.  One Python bool over all of w by default;
     with ``axis``, a bool array with one per slice along it (axis=-1: one
@@ -57,21 +57,24 @@ def diverged(w: np.ndarray, axis=None):
 
     One ``np.abs`` and one ``np.maximum.reduce``, which propagates NaN, so a
     NaN coordinate counts as diverged.  A single 1-D state of at most
-    _GUARD_LOOP_MAX coordinates (``run``'s and ``minimize``'s, one guard per
-    step) is answered from Python floats instead, at about a fifth of the
-    cost at one coordinate; a NaN fails ``<=`` there too.  An empty state
+    _GUARD_LOOP_MAX coordinates (``minimize``'s, one guard per step) is
+    answered from Python floats instead, at about a fifth of the cost at one
+    coordinate; a NaN fails ``<=`` there too.  So is a state given as a list
+    of Python floats, as ``run`` steps a logistic state.  An empty state
     raises ValueError either way."""
-    if axis is None and w.ndim == 1 and len(w) <= _GUARD_LOOP_MAX:
-        if not len(w):
-            raise ValueError("the divergence guard needs a nonempty state")
-        # a plain loop: all() over a generator costs about twice as much
-        for x in w.tolist():
-            if not abs(x) <= DIVERGENCE_NORM:
-                return True
-        return False
-    within = np.maximum.reduce(np.abs(w), axis=axis) <= DIVERGENCE_NORM
-    # `not` skips the ufunc call that `~` makes on a numpy bool
-    return not within if axis is None else ~within
+    if type(w) is not list:
+        if axis is not None or w.ndim != 1 or len(w) > _GUARD_LOOP_MAX:
+            within = np.maximum.reduce(np.abs(w), axis=axis) <= DIVERGENCE_NORM
+            # `not` skips the ufunc call that `~` makes on a numpy bool
+            return not within if axis is None else ~within
+        w = w.tolist()
+    if not w:
+        raise ValueError("the divergence guard needs a nonempty state")
+    # a plain loop: all() over a generator costs about twice as much
+    for x in w:
+        if not abs(x) <= DIVERGENCE_NORM:
+            return True
+    return False
 
 
 class Objective:
@@ -200,10 +203,7 @@ class Solution:
 
     @property
     def eta_two_lambda(self) -> float:
-        # the scale itself, not a resolved gamma, which a source test keeps
-        # in resolve_eta by flagging any division by `lambda_star`
-        lam = self.lambda_star
-        return 2.0 / lam
+        return 2.0 / self.lambda_star
 
     def to_dict(self) -> dict:
         return {

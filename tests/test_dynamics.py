@@ -362,6 +362,33 @@ class TestOneStateBits:
                                   _step_by_matmul(obj, W, eta))
                 _assert_same_margins(work, W)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")      # inf and NaN margins
+    def test_weighted_derivatives_are_the_sigmoids(self):
+        # step_floats leaves sigmoid(z) * wts in work.d1, bit for bit, with
+        # the numerator, division and weight on Python floats: on finite
+        # margins of every kind (random bit patterns, +-0, subnormals,
+        # |z| > 745), the features of 1-D data stepped from w = +-1, and on
+        # +-inf and NaNs with payloads, stepped from w = +-inf and NaN
+        rng = np.random.default_rng(0)
+        bits = rng.integers(0, 2**64, 20_000, dtype=np.uint64)
+        nans = (bits & np.uint64(0x800FFFFFFFFFFFFF)) | np.uint64(0x7FF0000000000001)
+        z = np.concatenate([[0.0, -0.0, 5e-324, -5e-324, 745.0, -745.0, 746.0, -746.0],
+                            rng.normal(0.0, 40.0, 20_000),
+                            rng.choice([-1.0, 1.0], 20_000) * 10.0 ** rng.uniform(-320, 308, 20_000),
+                            bits.view(np.float64)])
+        z = z[np.isfinite(z)]
+        starts = [1.0, -1.0, math.inf, -math.inf] + nans[:50].view(np.float64).tolist()
+        for lo in range(0, len(z), 997):
+            # labels -1, so that A's column is the features themselves
+            X = z[lo:lo + 997, None]
+            obj = g.Objective(g.Dataset(X, -np.ones(len(X), dtype=int),
+                                        rng.integers(1, 6, len(X))), g.logistic())
+            work = g.StepWork(obj, 1)
+            for w0 in starts if lo == 0 else starts[:2]:
+                work.step_floats([w0], [0.5])
+                _assert_same_bits(work.margins, w0 * obj._A[:, 0])
+                _assert_same_bits(work.d1, g.losses.sigmoid(work.margins) * obj._wts)
+
     def test_branch_selected_by_the_derivative_itself(self):
         # the logistic d1 is losses.sigmoid, by identity; squareplus, and a
         # wrapped sigmoid (as the benchmark's tracer builds), step by numpy
@@ -585,22 +612,27 @@ class TestGDConfig:
 
 def _run_kind(kind):
     """Objective, eta, w0 and horizons of a run that closes (toy3's fixed
-    point, found at t = 64), stays open (chaotic_1d) or diverges (w_398
-    passes the guard); each horizon set brackets the event."""
+    point, found at t = 64), stays open (chaotic_1d), diverges (w_398
+    passes the guard) or, under squareplus, closes on a 2-cycle; each
+    horizon set brackets the event."""
     if kind == "closed":
         obj = toy3_objective()
         return obj, 0.3 * g.minimize(obj).eta_two_lambda, [5.0], (1, 2, 7, 63, 64, 65, 300)
     if kind == "open":
         return (*_recipe("chaotic_1d", "logistic"), (1, 2, 7, 300))
+    if kind == "squareplus":               # toy3's 2-cycle, found at t = 65
+        obj = g.Objective(toy3_objective().ds, g.squareplus())
+        return obj, 0.3 * g.minimize(obj).eta_two_lambda, [5.0], (1, 2, 64, 65, 67, 300)
     obj = g.Objective(g.parse_compact("3 1 -9 -6\n1 1 -7 -4\n4 1 6 4\n"), g.logistic())
     return obj, 1e11, [0.0, 0.0], (7, 397, 398, 500)
 
 
 class TestRunRecording:
-    """run records the times of the mask formula and steps through
-    dynamics.step_many once per step taken."""
+    """run records the times of the mask formula and steps once per step
+    taken: a logistic state through StepWork.step_floats, any other through
+    dynamics.step_many."""
 
-    @pytest.mark.parametrize("kind", ["closed", "open", "diverging"])
+    @pytest.mark.parametrize("kind", ["closed", "open", "diverging", "squareplus"])
     def test_record_times_follow_the_mask(self, kind):
         obj, eta, w0, horizons = _run_kind(kind)
         for T in horizons:
@@ -622,17 +654,25 @@ class TestRunRecording:
 
     @pytest.mark.parametrize("kind, T, steps", [
         ("closed", 10, 10), ("closed", 64, 64), ("closed", 3000, 65),
-        ("open", 3000, 3000), ("diverging", 300, 300), ("diverging", 5000, 398)])
+        ("open", 3000, 3000), ("diverging", 300, 300), ("diverging", 5000, 398),
+        ("squareplus", 3000, 67)])
     def test_one_step_many_call_per_step(self, kind, T, steps, monkeypatch):
+        # a logistic state steps by StepWork.step_floats alone, any other
+        # state by step_many alone
         obj, eta, w0, _ = _run_kind(kind)
-        calls = itertools.count()
-        step_many = g.dynamics.step_many
+        calls = {name: itertools.count() for name in ("step_floats", "step_many")}
 
-        def counted(*args, **kwargs):
-            next(calls)
-            return step_many(*args, **kwargs)
+        def count(owner, name):
+            step = getattr(owner, name)
 
-        monkeypatch.setattr(g.dynamics, "step_many", counted)
+            def counted(*args, **kwargs):
+                next(calls[name])
+                return step(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        count(g.StepWork, "step_floats")
+        count(g.dynamics, "step_many")
         traj = g.run(obj, g.GDConfig(w0=w0, max_iters=T, eta=eta))
         # a closed run steps one period past closed_at; a diverging one
         # stops at the step that passes the guard
@@ -640,7 +680,10 @@ class TestRunRecording:
             taken = min(T, traj.closed_at + traj.closed_period)
         else:
             taken = int(traj.times[-1]) + traj.diverged
-        assert next(calls) == taken == steps
+        stepper, other = (("step_many", "step_floats") if kind == "squareplus"
+                          else ("step_floats", "step_many"))
+        assert next(calls[stepper]) == taken == steps
+        assert next(calls[other]) == 0
 
     def test_memory_does_not_grow_with_the_horizon(self):
         # chaotic_1d never closes, so all 60,000 steps run; the recorded
@@ -657,6 +700,47 @@ class TestRunRecording:
             tracemalloc.stop()
         assert traj.closed_at is None and len(traj.times) == 124
         assert peak < 64 * 1024, peak
+
+
+class TestFloatRun:
+    """run steps a logistic state as a list of Python floats; every run
+    equals the A @ w loop bit for bit, wherever it starts."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")      # a start past the guard
+    @pytest.mark.parametrize("G", [1, 3, 6, 30])
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_matches_the_stepping_loop(self, d, G):
+        rng = np.random.default_rng(1000 * d + G)
+        obj = _random_objective(rng, G, d)
+        finite = [x for x in _SPECIAL_COORDS if math.isfinite(x)]
+        # the special coordinates' finite entries, each in every coordinate
+        # and drawn in mixes, random states at random scales, and a start
+        # past the divergence guard
+        starts = [np.full(d, x) for x in finite]
+        starts += [rng.choice(finite, d) for _ in range(4)]
+        starts += list(_random_states(rng, (4, d)))
+        past = _random_states(rng, d)
+        past[rng.integers(d)] = 2.0 * DIVERGENCE_NORM
+        starts.append(past)
+        tripped = 0
+        for w0 in starts:
+            eta = 10.0 ** rng.uniform(-1.0, 1.5)
+            for record_every, tail_window in ((1, 4096), (7, 16)):
+                traj = _assert_run_is_stepping(obj, g.GDConfig(
+                    w0=w0, max_iters=200, eta=eta, record_every=record_every,
+                    tail_window=tail_window))
+            tripped += traj.diverged and len(traj.times) == 1
+        assert tripped >= 1
+
+    def test_repeat_key_is_the_bytes_of_the_state(self):
+        # as ndarray.tobytes gives them: -0.0 is not 0.0, and a NaN is its
+        # own bytes
+        key = g.dynamics._bytes_of_floats(1)
+        assert key([0.0]) != key([-0.0])
+        states = [[x, y] for x in _SPECIAL_COORDS for y in _SPECIAL_COORDS]
+        key = g.dynamics._bytes_of_floats(2)
+        for w in states:
+            assert key(w) == np.array(w).tobytes()
 
 
 @functools.cache

@@ -164,16 +164,8 @@ class TestD1Out:
                 for lo in range(0, len(z) - n, 40 * n + 997):
                     got = g.losses.sigmoid(z[lo:lo + n], out=np.empty(n), scratch=np.empty(n))
                     assert got.tobytes() == want[lo:lo + n].tobytes(), (n, lo)
-            # the one-state step's form: -|z| and exp by numpy, the rest on
-            # Python floats, times the weights as sigmoid(z) * wts is
-            wts = np.concatenate([rng.uniform(0.0, 1.0, len(z) - 3), [1.0, 1.0 / 3.0, 5e-324]])
-            got = g.losses.weighted_sigmoid(z, wts.tolist(), np.empty_like(z))
-            assert got.tobytes() == (want * wts).tobytes()
-            for n in (1, 3, 6):
-                for lo in range(0, len(z) - n, 997):
-                    got = g.losses.weighted_sigmoid(z[lo:lo + n], wts[lo:lo + n].tolist(),
-                                                    np.empty(n))
-                    assert got.tobytes() == (want[lo:lo + n] * wts[lo:lo + n]).tobytes(), (n, lo)
+            # the one-state step's Python-float form of these bits is checked
+            # in tests/test_dynamics.py (test_weighted_derivatives_are_the_sigmoids)
 
 
 class TestDerivativeConsistency:

@@ -100,6 +100,11 @@ def _output(call: ast.Call):
     return next((ast.unparse(kw.value) for kw in call.keywords if kw.arg == "out"), None)
 
 
+def _method(cls: ast.ClassDef, name: str):
+    return next((node for node in cls.body
+                 if isinstance(node, ast.FunctionDef) and node.name == name), None)
+
+
 def test_step_products_read_the_workspace_operand():
     # StepWork picks Aᵀ's layout by the product's shape: a C-contiguous copy
     # for two rows or more (three to four times faster in OpenBLAS, same
@@ -107,17 +112,33 @@ def test_step_products_read_the_workspace_operand():
     # also picks the product: np.dot for a 1-D state, np.matmul otherwise.
     # A margin product that builds its own Aᵀ, or calls a product of its
     # own, would bring back the slow operand or the one that moves bits.
-    # step_many has one margin product on each of its paths, the logistic
-    # one-state branch and the numpy form; both must read the workspace's.
+    # step_many's numpy form and the float step's d >= 2 margins must read
+    # the workspace's; the float step's d = 1 margins are one product each,
+    # w times an entry of A's column bound once in StepWork.
     tree = ast.parse((SRC / "dynamics.py").read_text())
     defs = {node.name: node for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    margins = [node for node in ast.walk(defs["step_many"])
-               if isinstance(node, ast.Call) and _output(node) == "work.margins"]
-    assert margins, "step_many has no margin product into work.margins"
-    for call in margins:
-        assert ast.unparse(call.func) == "work.product", ast.unparse(call)
-        assert ast.unparse(call.args[1]) == "work.At", ast.unparse(call)
+    for fn, prefix in ((defs["step_many"], "work"),
+                       (_method(defs["StepWork"], "step_floats"), "self")):
+        assert fn is not None, "StepWork no longer has step_floats"
+        products = [node for node in ast.walk(fn)
+                    if isinstance(node, ast.Call) and _output(node) == f"{prefix}.margins"]
+        assert products, f"{fn.name} has no margin product into {prefix}.margins"
+        for call in products:
+            assert ast.unparse(call.func) == f"{prefix}.product", ast.unparse(call)
+            assert ast.unparse(call.args[1]) == f"{prefix}.At", ast.unparse(call)
+    float_step = _method(defs["StepWork"], "step_floats")
+    columns = _names_bound(float_step, lambda v: ast.unparse(v) == "self._col") | {"self._col"}
+    one_products = [node for node in ast.walk(float_step) if isinstance(node, ast.ListComp)
+                    and ast.unparse(node.generators[0].iter) in columns
+                    and isinstance(node.elt, ast.BinOp) and isinstance(node.elt.op, ast.Mult)
+                    and ast.unparse(node.generators[0].target) in
+                    {ast.unparse(node.elt.left), ast.unparse(node.elt.right)}]
+    assert one_products, "step_floats' d = 1 margins no longer multiply StepWork's column"
+    init = _method(defs["StepWork"], "__init__")
+    col = [node for node in ast.walk(init) if isinstance(node, ast.Assign)
+           and [ast.unparse(t) for t in node.targets] == ["self._col"]]
+    assert col and "obj._A[:, 0]" in ast.unparse(col[0].value), "StepWork no longer binds A's column"
     picks = {ast.unparse(node.targets[0]) for node in ast.walk(defs["StepWork"])
              if isinstance(node, ast.Assign) and len(node.targets) == 1}
     assert {"self.At", "self.product"} <= picks, "StepWork no longer picks the product"
@@ -130,19 +151,27 @@ def test_step_products_read_the_workspace_operand():
     assert not elsewhere, f"dynamics.py takes Aᵀ outside StepWork: {elsewhere}"
 
 
-def _names_bound_to_A(tree) -> set:
-    """Names assigned ``<x>._A`` anywhere in ``tree``, alone or in a tuple."""
+def _names_bound(tree, bound_to) -> set:
+    """Names that ``tree`` assigns a value for which ``bound_to(value)``
+    holds, alone, in a tuple, annotated or by ``:=``."""
     bound = set()
     for node in ast.walk(tree):
-        if not isinstance(node, ast.Assign):
+        if isinstance(node, ast.Assign):
+            pairs = [(t, node.value) for t in node.targets]
+        elif isinstance(node, (ast.AnnAssign, ast.NamedExpr)):
+            pairs = [(node.target, node.value)]
+        else:
             continue
-        for target in node.targets:
-            pairs = [(target, node.value)]
-            if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
-                pairs = zip(target.elts, node.value.elts)
-            bound |= {t.id for t, v in pairs if isinstance(t, ast.Name)
-                      and isinstance(v, ast.Attribute) and v.attr == "_A"}
+        for target, value in list(pairs):
+            if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+                pairs.extend(zip(target.elts, value.elts))
+        bound |= {t.id for t, v in pairs if isinstance(t, ast.Name) and bound_to(v)}
     return bound
+
+
+def _names_bound_to_A(tree) -> set:
+    """Names assigned ``<x>._A`` anywhere in ``tree``."""
+    return _names_bound(tree, lambda v: isinstance(v, ast.Attribute) and v.attr == "_A")
 
 
 def _products_of_A_with_itself(tree) -> list:
@@ -219,22 +248,24 @@ def test_step_calls_no_python_float_reductions_or_math():
     # the one-state step does on Python floats only what rounds once per
     # operation, as numpy does.  math.exp differs from np.exp on about 5% of
     # margins, and a Python sum from np.dot's on about 40% of 2x2 products,
-    # so neither may enter the step, its workspace or the sigmoid's tail
+    # so neither may enter the step (StepWork.step_floats), its workspace or
+    # step_many
     trees = {name: ast.parse((SRC / name).read_text()) for name in ("dynamics.py", "losses.py")}
-    scopes = [("dynamics.py", "StepWork"), ("dynamics.py", "step_many"),
-              ("losses.py", "weighted_sigmoid")]
+    classes = {node.name: node for node in trees["dynamics.py"].body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    scopes = {"StepWork": classes.get("StepWork"), "step_many": classes.get("step_many")}
+    if scopes["StepWork"] is not None:
+        scopes["StepWork.step_floats"] = _method(scopes["StepWork"], "step_floats")
     found = {}
-    for module, scope in scopes:
-        fn = next((node for node in trees[module].body
-                   if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == scope),
-                  None)
-        assert fn is not None, f"{module} no longer defines {scope}"
+    for scope, fn in scopes.items():
+        assert fn is not None, f"dynamics.py no longer defines {scope}"
         calls = [ast.unparse(node.func) for node in ast.walk(fn) if isinstance(node, ast.Call)]
         bad = [c for c in calls if c == "sum" or c.startswith("math.")]
         if bad:
             found[scope] = bad
     assert not found, f"the one-state step calls {found}"
-    # nor does either module import a math function under a bare name
+    # nor does either module, where the sigmoid lives, import a math
+    # function under a bare name
     for module, tree in trees.items():
         imported = [alias.name for node in ast.walk(tree)
                     if isinstance(node, ast.ImportFrom) and node.module == "math"
@@ -272,17 +303,37 @@ def test_run_loop_records_states_only():
     assert not reads, f"run reads work.margins on lines {reads}"
 
 
+def _scale_properties(tree) -> set:
+    """The nodes of ``Solution.eta_two_lambda``: the scale 2/lambda itself,
+    not a resolved gamma."""
+    return {node for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name == "Solution"
+            for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "eta_two_lambda"
+            for node in ast.walk(fn)}
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_gamma_resolved_by_resolve_eta_alone(path):
-    # dynamics.resolve_eta is the one place that turns gamma into a step size
+    # dynamics.resolve_eta is the one place that turns gamma into a step
+    # size: a division by lambda_star, or by a name bound from it, anywhere
+    # else is a second copy, Solution.eta_two_lambda's 2 / lambda_star aside
     tree = ast.parse(path.read_text(), filename=str(path))
-    lines = [node.lineno for node in ast.walk(tree)
-             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
-             and _names(node.right, "lambda_star")]
+    bound = _names_bound(tree, lambda v: isinstance(v, ast.Attribute) and v.attr == "lambda_star")
+    exempt = _scale_properties(tree)
+
+    def by_lambda_star(divisor) -> bool:
+        return _names(divisor, "lambda_star") or isinstance(divisor, ast.Name) and divisor.id in bound
+
+    lines = [node.lineno for node in ast.walk(tree) if node not in exempt and (
+             isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+             and by_lambda_star(node.right)
+             or isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div)
+             and by_lambda_star(node.value))]
     if path.name == "dynamics.py":
         assert lines, "dynamics.py no longer resolves gamma / lambda_star"
     else:
         assert not lines, f"{path.name} divides by lambda_star on lines {lines}"
+    if path.name == "objective.py":
+        assert exempt, "objective.py no longer defines Solution.eta_two_lambda"
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
